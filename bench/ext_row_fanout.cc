@@ -7,8 +7,8 @@
  * serial controller walks those chains back to back, so the modeled
  * lookup cost grows linearly with the home count.  With
  * EngineConfig::rowFanoutMin set, the engine splits such lookups into
- * contiguous home-range shards executed by idle workers
- * (CaRamSlice::searchRows over shard-local scratch) and charges the
+ * contiguous home-range shards, walks them on the port's owning worker
+ * (CaRamSlice::searchRows over worker-local scratch) and charges the
  * port only for the *slowest shard* -- the banks fetch concurrently,
  * the paper's multi-bank overlap.
  *
@@ -23,8 +23,8 @@
  *   - >= 2x at 64 homes (the headline workload),
  *   - fan-out responses bit-identical to Database::search.
  * Wall-clock speedup is reported as info (CARAM_BENCH_WALL=1 turns it
- * into a gate); on small tables the host's cache swallows the row
- * walks, so wall time mostly measures scheduling overhead.
+ * into a gate); the fan-out engine walks the same rows on one thread,
+ * so wall time stays near 1x and measures the shard merge's overhead.
  *
  * Emits BENCH_row_fanout.json.  Usage:
  *

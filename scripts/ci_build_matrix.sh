@@ -15,11 +15,13 @@
 # every dispatch combination the host supports.
 #
 #   3. The SIMD build rerun with CARAM_ROW_FANOUT_MIN=1: every engine
-#      whose config leaves rowFanoutMin at 0 now fans out EVERY
-#      eligible ternary lookup through the shard path, so the whole
-#      suite doubles as a fan-out equivalence sweep.  Tests that need
-#      a serial baseline pin an explicit unreachable threshold, which
-#      always wins over the environment floor.
+#      whose config leaves rowFanoutMin at 0 now routes EVERY eligible
+#      lookup through the inline shard-merge path (shards walked in
+#      home order on the owning worker, merged back to the serial
+#      result), so the whole suite doubles as a fan-out equivalence
+#      sweep.  Tests that need a serial baseline pin an explicit
+#      unreachable threshold, which always wins over the environment
+#      floor.
 #
 #   4. The SIMD build rerun with CARAM_SEQLOCK_TEAR=2: every slice
 #      constructed with the torn-read injection hook armed, so each

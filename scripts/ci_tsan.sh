@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the concurrency layer: builds with
-# -DCARAM_TSAN=ON and runs the concurrent-queue, completion-latch and
-# parallel-engine tests under TSan.  The Engine suite includes the
-# batched multi-key pipeline tests (Engine.Batched*), so worker-side
-# group execution and flush-around-mutation paths are raced too, the
-# bulk-ingest tests (Engine.BatchedIngestMatchesSerial,
-# Engine.BulkLoadMatchesSerial*, Engine.Rebuild*, Engine.AdaptiveBatch*)
-# race worker-side insertBatch runs, port-driven rebuilds, and the
-# adaptive batch controller, and the intra-lookup fan-out tests
-# (Engine.Fanout*) race shard stealing off the shared sub-task queue,
-# worker doorbells, and the help-first CompletionLatch join.  The
+# -DCARAM_TSAN=ON and runs the concurrent-queue and parallel-engine
+# tests under TSan.  The Engine suite includes the batched multi-key
+# pipeline tests (Engine.Batched*), so worker-side group execution and
+# flush-around-mutation paths are raced too, the bulk-ingest tests
+# (Engine.BatchedIngestMatchesSerial, Engine.BulkLoadMatchesSerial*,
+# Engine.Rebuild*) race worker-side insertBatch runs and port-driven
+# rebuilds, and the intra-lookup fan-out tests (Engine.Fanout*) run
+# the owning worker's inline shard walk beside other workers, the
+# writer lanes and the worker doorbells.  The
 # concurrent-mutation layer rides along: the per-row seqlock
 # differentials (SeqlockConcurrent.*), the epoch-based reclamation
 # domain (Epoch.*), the writer-lane engine differentials
@@ -53,5 +52,5 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" \
     result_cache_differential prefilter_differential \
     maintenance_differential
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$BUILD_DIR" \
-    -R 'ConcurrentQueue|CompletionLatch|Engine|Epoch|SeqlockConcurrent|ConcurrentMutation|ResultCache|Prefilter|Maintenance' \
+    -R 'ConcurrentQueue|Engine|Epoch|SeqlockConcurrent|ConcurrentMutation|ResultCache|Prefilter|Maintenance' \
     --output-on-failure

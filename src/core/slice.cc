@@ -91,9 +91,9 @@ CaRamSlice::AllRowsWriteGuard::~AllRowsWriteGuard()
 CaRamSlice::ScratchUse::ScratchUse(const CaRamSlice &s) : slice_(s)
 {
     if (slice_.scratchGuard_.fetch_add(1, std::memory_order_acq_rel) != 0)
-        panic("concurrent use of per-slice scratch: shard workers must "
-              "use packSearchKey/candidateHomes/searchRows with "
-              "shard-local scratch, never search/searchBatch/erase");
+        panic("concurrent use of per-slice scratch: concurrent callers "
+              "must use packSearchKey/candidateHomes/searchRows with "
+              "caller-owned scratch, never search/searchBatch/erase");
 }
 
 CaRamSlice::ScratchUse::~ScratchUse()
@@ -736,12 +736,12 @@ CaRamSlice::candidateHomes(const Key &search_key,
                                  search_key.bits(), out);
 }
 
-void
+unsigned
 CaRamSlice::prefilterPruneHomes(const Key &search_key,
-                                std::vector<uint64_t> &homes)
+                                std::vector<uint64_t> &homes) const
 {
     if (!prefilterActive())
-        return;
+        return 0;
     const uint64_t sig = RowPrefilter::signatureOf(search_key);
     const bool sig_usable = search_key.fullySpecified();
     std::size_t w = 0;
@@ -751,16 +751,15 @@ CaRamSlice::prefilterPruneHomes(const Key &search_key,
             filter_.consultHome(home, sig, sig_usable, reach);
         if (!may && reach == 0) {
             // The chain is this single row and it provably cannot
-            // match: a shard walk would have consulted it once and
-            // skipped -- charge exactly that, and drop the home so no
-            // sub-task is enqueued for it.
-            prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
-            prefilterSkips_.fetch_add(1, std::memory_order_relaxed);
+            // match: a shard walk would only consult it once and skip
+            // it, so drop the home from every shard.
             continue;
         }
         homes[w++] = home;
     }
+    const auto pruned = static_cast<unsigned>(homes.size() - w);
     homes.resize(w);
+    return pruned;
 }
 
 SearchResult
@@ -808,10 +807,13 @@ CaRamSlice::mergeShardResults(const SearchResult *shards, unsigned n,
 }
 
 void
-CaRamSlice::noteFanoutSearch(unsigned buckets_accessed)
+CaRamSlice::noteFanoutSearch(unsigned buckets_accessed,
+                             unsigned pruned_homes)
 {
     ++searchCount;
     accessCount += buckets_accessed;
+    prefilterProbes_.fetch_add(pruned_homes, std::memory_order_relaxed);
+    prefilterSkips_.fetch_add(pruned_homes, std::memory_order_relaxed);
 }
 
 bool

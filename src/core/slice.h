@@ -164,8 +164,8 @@ class CaRamSlice
     /**
      * Pack @p search_key into @p out, the match processor's step-1
      * template, using *caller-owned* scratch instead of the per-slice
-     * packedKey_.  Shard workers pack once per lookup and then hand the
-     * same (read-only) packed key to every shard.
+     * packedKey_.  A fan-out lookup packs once and then hands the same
+     * (read-only) packed key to every shard.
      */
     void packSearchKey(const Key &search_key,
                        MatchProcessor::PackedKey &out) const;
@@ -218,11 +218,14 @@ class CaRamSlice
     /**
      * Account one fan-out lookup: advances searchesPerformed() by one
      * and searchAccesses() by @p buckets_accessed, exactly as a serial
-     * search() reporting that many accesses would.  Call from the
-     * coordinating thread after the merge -- the counters share the
+     * search() reporting that many accesses would, and charges one
+     * pre-filter probe and skip for each of the @p pruned_homes that
+     * prefilterPruneHomes() dropped from the lookup.  Call from the
+     * owning thread after the merge -- the counters share the
      * single-owner rule of the per-slice scratch.
      */
-    void noteFanoutSearch(unsigned buckets_accessed);
+    void noteFanoutSearch(unsigned buckets_accessed,
+                          unsigned pruned_homes = 0);
     /// @}
 
     /// @name Concurrent search (wait-free readers under mutation)
@@ -330,13 +333,17 @@ class CaRamSlice
      * Drop candidate homes whose whole probe chain the filter proves
      * empty (mirrored reach 0 and a failing home-row consult) from
      * @p homes, preserving order -- the fan-out path's shard pruning.
-     * Counts one probe and one skip per *pruned* home only; surviving
-     * homes are consulted again inside the shard walks, so the counter
-     * totals match a serial filtered search of the same key.  No-op
-     * while consultation is disabled or the filter is suspended.
+     * Returns the number of homes dropped and charges no counter: a
+     * caller that goes on to fan out passes the count to
+     * noteFanoutSearch() (one probe and one skip per pruned home;
+     * surviving homes are consulted again inside the shard walks), so
+     * the totals match a serial filtered search of the same key, and a
+     * caller that falls back to search() charges nothing twice.
+     * Returns 0 while consultation is disabled or the filter is
+     * suspended.
      */
-    void prefilterPruneHomes(const Key &search_key,
-                             std::vector<uint64_t> &homes);
+    unsigned prefilterPruneHomes(const Key &search_key,
+                                 std::vector<uint64_t> &homes) const;
 
     /** Filter memory footprint, bytes (overhead accounting). */
     uint64_t
@@ -697,8 +704,8 @@ class CaRamSlice
     // serve concurrent scratch-using calls -- the same ownership rule
     // the search counters below already impose (the parallel engine
     // gives each database to exactly one worker).  Intra-lookup shard
-    // workers must NOT route through these: they use packSearchKey()/
-    // candidateHomes()/searchRows() with shard-local scratch instead.
+    // walks must NOT route through these: they use packSearchKey()/
+    // candidateHomes()/searchRows() with caller-owned scratch instead.
     // scratchGuard_ enforces the rule in every build (two uncontended
     // atomic ops per operation -- noise next to a row walk): each
     // scratch-using entry point panics if it observes another one in
@@ -824,8 +831,9 @@ class CaRamSlice
     // every mutation path (inside the rows' seqlock writer sections);
     // consulted by the search paths only when prefilterEnabled_ says
     // so and no RAM-mode store has suspended it.  The skip/probe
-    // counters are atomic because fan-out shard workers walk chains
-    // concurrently (relaxed: they are observability, not ordering).
+    // counters are atomic because searchRows() and searchConcurrent()
+    // may walk chains on several threads at once (relaxed: they are
+    // observability, not ordering).
     RowPrefilter filter_;
     std::atomic<bool> prefilterEnabled_{false};
     mutable std::atomic<uint64_t> prefilterProbes_{0};

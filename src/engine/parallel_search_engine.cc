@@ -6,136 +6,53 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
+#include <set>
+#include <string>
 
 #include "common/logging.h"
 #include "common/strings.h"
 #include "engine/maintenance_engine.h"
-#include "sim/completion_latch.h"
 
 namespace caram::engine {
 
 namespace {
 
-/** CARAM_ROW_FANOUT_MIN parsed fresh on every call (i.e. at each
- *  engine's construction) -- a function-local cache would pin whatever
- *  value the first engine in the process saw and silently ignore later
- *  environment changes, which broke tests that build engines under
- *  different settings.  nullopt = unset/garbage (garbage warns once per
- *  process).  The forced-fan-out CI leg sets it to 1 so every engine in
- *  the test suite routes lookups through the shard scheduler. */
-std::optional<unsigned>
-envRowFanoutMin()
+/**
+ * The CARAM_* knob @p name parsed as a decimal integer in [@p lo, @p hi],
+ * read fresh on every call (i.e. at each engine's construction) -- a
+ * function-local cache would pin whatever value the first engine in the
+ * process saw and silently ignore later environment changes.  nullopt
+ * when unset, empty or garbage; garbage (not a number, or out of range)
+ * warns once per variable.  The forced-feature CI legs set these so
+ * every engine whose config leaves the knob unset runs the whole suite
+ * with the feature on.
+ */
+std::optional<uint64_t>
+env(const char *name, uint64_t lo, uint64_t hi)
 {
-    const char *env = std::getenv("CARAM_ROW_FANOUT_MIN");
-    if (!env || !*env)
+    const char *text = std::getenv(name);
+    if (!text || !*text)
         return std::nullopt;
     char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0') {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_ROW_FANOUT_MIN=%s is not a number; "
-                           "fan-out stays config-controlled",
-                           env));
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (end == text || *end != '\0' || v < lo || v > hi) {
+        static std::mutex warned_mutex;
+        static std::set<std::string> warned;
+        const std::lock_guard<std::mutex> lock(warned_mutex);
+        if (warned.insert(name).second)
+            warn(strprintf("%s=%s is not a number in [%llu, %llu]; the "
+                           "setting stays config-controlled",
+                           name, text,
+                           static_cast<unsigned long long>(lo),
+                           static_cast<unsigned long long>(hi)));
         return std::nullopt;
     }
-    return static_cast<unsigned>(v);
+    return v;
 }
 
-/** CARAM_RESULT_CACHE_ENTRIES, parsed fresh on every call like
- *  CARAM_ROW_FANOUT_MIN above.  The forced-cache CI leg sets it so
- *  every engine whose config leaves resultCacheEntries unset runs the
- *  whole suite with the hot-key cache on. */
-std::optional<std::size_t>
-envResultCacheEntries()
-{
-    const char *env = std::getenv("CARAM_RESULT_CACHE_ENTRIES");
-    if (!env || !*env)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0') {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_RESULT_CACHE_ENTRIES=%s is not a "
-                           "number; result cache stays "
-                           "config-controlled",
-                           env));
-        return std::nullopt;
-    }
-    return static_cast<std::size_t>(v);
-}
-
-/** CARAM_WRITER_LANES, parsed fresh on every call like the knobs
- *  above.  The lane-forced CI leg sets it to 4 so every engine whose
- *  config leaves writerLanes at 0 spreads its ports over four writer
- *  threads. */
-std::optional<unsigned>
-envWriterLanes()
-{
-    const char *env = std::getenv("CARAM_WRITER_LANES");
-    if (!env || !*env)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_WRITER_LANES=%s is not a positive "
-                           "number; writer lanes stay "
-                           "config-controlled",
-                           env));
-        return std::nullopt;
-    }
-    return static_cast<unsigned>(v);
-}
-
-/** CARAM_PREFILTER, parsed fresh on every call like the knobs above.
- *  The forced-filter CI leg sets it to 1 so every engine whose config
- *  leaves `prefilter` unset runs the whole suite consulting the
- *  per-row pre-filter. */
-std::optional<bool>
-envPrefilter()
-{
-    const char *env = std::getenv("CARAM_PREFILTER");
-    if (!env || !*env)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v > 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_PREFILTER=%s is not 0 or 1; the "
-                           "pre-filter stays config-controlled",
-                           env));
-        return std::nullopt;
-    }
-    return v != 0;
-}
-
-/** CARAM_MAINTENANCE, parsed fresh on every call like the knobs
- *  above.  The forced-maintenance CI leg sets it to 1 so every engine
- *  whose config leaves `maintenance` unset runs the whole suite with
- *  the background maintenance engine active. */
-std::optional<bool>
-envMaintenance()
-{
-    const char *env = std::getenv("CARAM_MAINTENANCE");
-    if (!env || !*env)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v > 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_MAINTENANCE=%s is not 0 or 1; "
-                           "maintenance stays config-controlled",
-                           env));
-        return std::nullopt;
-    }
-    return v != 0;
-}
+constexpr uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
 
 } // namespace
 
@@ -144,24 +61,6 @@ struct ParallelSearchEngine::Job
 {
     core::PortRequest request;
     std::chrono::steady_clock::time_point enqueued;
-};
-
-/**
- * One shard of a fanned-out lookup: match @p count candidate home
- * chains starting at @p homes against the coordinator's packed key,
- * deposit the shard-best into @p out, and arrive at @p latch.  All
- * pointed-to state lives in the coordinating worker's scratch, which
- * stays pinned until the latch completes; the queue's mutex publishes
- * it to stealing workers.
- */
-struct ParallelSearchEngine::FanoutTask
-{
-    core::CaRamSlice *slice;
-    const core::MatchProcessor::PackedKey *packed;
-    const uint64_t *homes;
-    unsigned count;
-    core::SearchResult *out;
-    sim::CompletionLatch *latch;
 };
 
 /** One writer-lane hand-off: a run of same-port non-Search jobs in
@@ -237,7 +136,6 @@ struct ParallelSearchEngine::Worker
     core::InsertBatchSummary ingest;
     /** Run counters (EngineReport). */
     std::atomic<uint64_t> batchedSearchRuns{0};
-    std::atomic<uint64_t> adaptiveSerialRuns{0};
     std::atomic<uint64_t> batchedInsertRuns{0};
     /** Mutation runs this worker appended to a busy port's staging
      *  deque (writer combining) instead of a fresh hand-off. */
@@ -249,26 +147,22 @@ struct ParallelSearchEngine::Worker
     std::vector<uint64_t> maskHomes;
     std::vector<uint64_t> fillMasks;
     std::vector<uint64_t> fillStamps;
-    /** Adaptive controller: smoothed keys-per-fetch of recent batched
-     *  runs, and search runs left in the current serial back-off. */
-    double sharingEwma = 0.0;
-    bool sharingSeeded = false;
-    unsigned serialHold = 0;
-    /** Fan-out coordinator scratch: the packed key every shard reads,
-     *  the candidate home rows, and one result slot per shard.  All
-     *  pre-sized after the first fan-out, so steady-state fan-out
-     *  lookups allocate nothing -- and strictly worker-local, never
-     *  the slice's own scratch (CaRamSlice's single-owner rule). */
+    /** Fan-out scratch: the packed key every shard reads, the
+     *  candidate home rows left after pre-filter pruning (and how many
+     *  were pruned), and one result slot per shard.  All pre-sized
+     *  after the first fan-out, so steady-state fan-out lookups
+     *  allocate nothing -- and strictly worker-local, never the
+     *  slice's own scratch (CaRamSlice's single-owner rule). */
     core::MatchProcessor::PackedKey fanoutPacked;
     std::vector<uint64_t> fanoutHomes;
+    unsigned fanoutPruned = 0;
     std::array<core::SearchResult, kMaxFanoutShards> shardResults;
-    sim::CompletionLatch fanoutLatch;
     /** Fan-out counters (EngineReport). */
     std::atomic<uint64_t> fanoutLookups{0};
     std::atomic<uint64_t> fanoutShards{0};
     std::atomic<uint64_t> fanoutSerialFallbacks{0};
-    /** Doorbell: the worker parks here when both its request queue and
-     *  the shared shard queue are empty; producers ring after pushing. */
+    /** Doorbell: the worker parks here when its request queue is empty
+     *  and no deferred job is ready; producers ring after pushing. */
     std::mutex bellMutex;
     std::condition_variable bell;
 };
@@ -292,22 +186,25 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
     if (cfg.concurrentMutation) {
         unsigned lanes = cfg.writerLanes;
         if (lanes == 0)
-            lanes = envWriterLanes().value_or(1);
+            lanes = static_cast<unsigned>(
+                env("CARAM_WRITER_LANES", 1, kUnsignedMax).value_or(1));
         writerLaneCount_ = std::clamp(lanes, 1u, 16u);
     }
     cfg.rowFanoutMaxShards =
         std::clamp(cfg.rowFanoutMaxShards, 1u, kMaxFanoutShards);
     rowFanoutMin_ = cfg.rowFanoutMin;
     if (rowFanoutMin_ == 0) {
-        if (const auto env = envRowFanoutMin())
-            rowFanoutMin_ = *env;
+        if (const auto v = env("CARAM_ROW_FANOUT_MIN", 0, kUnsignedMax))
+            rowFanoutMin_ = static_cast<unsigned>(*v);
     }
     // Result cache: an explicit config value (including an explicit 0,
     // which pins the cache off) always wins over the environment.
     std::size_t cache_entries = cfg.resultCacheEntries.value_or(0);
     if (!cfg.resultCacheEntries.has_value()) {
-        if (const auto env = envResultCacheEntries())
-            cache_entries = *env;
+        if (const auto v =
+                env("CARAM_RESULT_CACHE_ENTRIES", 0,
+                    std::numeric_limits<std::size_t>::max()))
+            cache_entries = static_cast<std::size_t>(*v);
     }
     if (cache_entries > 0) {
         resultCache_ = std::make_unique<ResultCache>(
@@ -320,8 +217,8 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
     // rebuildSwap() replacements inherit it without engine help.
     prefilter_ = cfg.prefilter.value_or(false);
     if (!cfg.prefilter.has_value()) {
-        if (const auto env = envPrefilter())
-            prefilter_ = *env;
+        if (const auto v = env("CARAM_PREFILTER", 0, 1))
+            prefilter_ = *v != 0;
     }
     for (std::size_t p = 0; p < sys->databaseCount(); ++p) {
         sys->database(static_cast<unsigned>(p))
@@ -333,17 +230,13 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
     // is ignored there regardless of source.
     bool maintenance = cfg.maintenance.value_or(false);
     if (!cfg.maintenance.has_value()) {
-        if (const auto env = envMaintenance())
-            maintenance = *env;
+        if (const auto v = env("CARAM_MAINTENANCE", 0, 1))
+            maintenance = *v != 0;
     }
     if (cfg.workers == 0)
         maintenance = false;
     if (maintenance)
         maintenance_ = std::make_unique<MaintenanceEngine>(*this);
-    fanoutTasks = std::make_unique<sim::ConcurrentBoundedQueue<FanoutTask>>(
-        std::max<std::size_t>(16,
-                              std::size_t{workerCount} *
-                                  cfg.rowFanoutMaxShards));
     for (std::size_t p = 0; p < sys->databaseCount(); ++p)
         ports.push_back(std::make_unique<PortState>());
     refreshAnalyticBounds(); // pre-thread: nothing can be mutating yet
@@ -447,7 +340,7 @@ ParallelSearchEngine::fanoutEligible(core::Database &db, const Key &key,
     if (rowFanoutMin_ == 0)
         return false;
     // Fully specified keys have exactly one candidate home: only a
-    // forced threshold of <= 1 routes them through the shard scheduler
+    // forced threshold of <= 1 routes them through the shard walk
     // (single-shard coverage of the fan-out machinery).
     if (rowFanoutMin_ > 1 && key.fullySpecified())
         return false;
@@ -455,20 +348,15 @@ ParallelSearchEngine::fanoutEligible(core::Database &db, const Key &key,
         return false; // let the serial path report the width mismatch
     db.slice().candidateHomes(key, self.fanoutHomes);
     // Shard pruning: homes whose whole chain the filter proves empty
-    // never become sub-tasks (they contribute zero accesses either
-    // way, so the merged result stays bit-identical to the serial
-    // filtered walk).  A lookup pruned below the threshold falls back
-    // to the serial path -- which skips the same rows.
-    db.slice().prefilterPruneHomes(key, self.fanoutHomes);
+    // never join a shard (they contribute zero accesses either way, so
+    // the merged result stays bit-identical to the serial filtered
+    // walk).  The pruned homes are charged to the filter's counters
+    // only if the lookup fans out (executeFanoutSearch); a lookup
+    // pruned below the threshold falls back to the serial path, which
+    // consults and skips the same rows itself.
+    self.fanoutPruned =
+        db.slice().prefilterPruneHomes(key, self.fanoutHomes);
     return self.fanoutHomes.size() >= rowFanoutMin_;
-}
-
-void
-ParallelSearchEngine::runFanoutTask(const FanoutTask &task)
-{
-    *task.out = task.slice->searchRows(*task.packed, task.homes,
-                                       task.count);
-    task.latch->arrive();
 }
 
 void
@@ -500,56 +388,31 @@ ParallelSearchEngine::executeFanoutSearch(
         self.fanoutShards.fetch_add(nshards, std::memory_order_relaxed);
 
     sl.packSearchKey(request.key, self.fanoutPacked);
-    self.fanoutLatch.reset(nshards);
+    // Walk every shard on this thread, in home order.  No shard stops
+    // early on another's hit: the modeled charge below needs each
+    // shard's own chain length, exactly as if the banks had fetched
+    // concurrently, and the merge discards the speculative work.
     const uint64_t *homes = self.fanoutHomes.data();
     const unsigned base = nhomes / nshards;
     const unsigned rem = nhomes % nshards;
-    // Shard 0 (the first home range) runs on this thread; the rest go
-    // to the shared sub-task queue for idle workers to steal.  A full
-    // queue just means this shard runs here too -- the push never
-    // blocks, so fan-out cannot deadlock.
-    const unsigned local_count = base + (0 < rem ? 1 : 0);
-    unsigned offset = local_count;
-    for (unsigned s = 1; s < nshards; ++s) {
+    unsigned offset = 0;
+    uint64_t slowest = 0;
+    for (unsigned s = 0; s < nshards; ++s) {
         const unsigned count = base + (s < rem ? 1 : 0);
-        const FanoutTask task{&sl,
-                              &self.fanoutPacked,
-                              homes + offset,
-                              count,
-                              &self.shardResults[s],
-                              &self.fanoutLatch};
+        self.shardResults[s] =
+            sl.searchRows(self.fanoutPacked, homes + offset, count);
+        slowest = std::max<uint64_t>(slowest,
+                                     self.shardResults[s].bucketsAccessed);
         offset += count;
-        if (cfg.workers == 0 || !fanoutTasks->tryPush(task))
-            runFanoutTask(task);
-    }
-    if (nshards > 1 && cfg.workers != 0)
-        ringAll();
-    self.shardResults[0] =
-        sl.searchRows(self.fanoutPacked, homes, local_count);
-    self.fanoutLatch.arrive();
-    // Help-first join: while our shards are outstanding, run queued
-    // shard tasks (ours or another coordinator's) instead of blocking.
-    // Shard tasks never block or fan out themselves, so every queued
-    // task makes progress even when all workers coordinate lookups at
-    // once; once the queue is empty our remaining shards are already
-    // running on other workers and the wait is finite.
-    while (!self.fanoutLatch.tryWait()) {
-        if (const auto task = fanoutTasks->tryPop())
-            runFanoutTask(*task);
-        else
-            self.fanoutLatch.wait();
     }
 
     core::SearchResult merged = core::CaRamSlice::mergeShardResults(
         self.shardResults.data(), nshards, sl.config().lpm);
     // The slice's counters advance exactly as one serial search()
     // reporting this many accesses would (we are the port's owning
-    // worker, so the single-owner rule holds).
-    sl.noteFanoutSearch(merged.bucketsAccessed);
-    uint64_t slowest = 0;
-    for (unsigned s = 0; s < nshards; ++s)
-        slowest = std::max<uint64_t>(slowest,
-                                     self.shardResults[s].bucketsAccessed);
+    // worker, so the single-owner rule holds) -- the pruned homes
+    // included, as the consults and skips the serial walk makes.
+    sl.noteFanoutSearch(merged.bucketsAccessed, self.fanoutPruned);
     const uint64_t overflow_fetches =
         db.mergeOverflowResult(request.key, merged);
     if (resultCache_)
@@ -778,9 +641,10 @@ ParallelSearchEngine::executeSearchRun(const Job *jobs, std::size_t count,
 
     // Cache hits and fan-out-eligible keys leave the batch.  A hit
     // never touches the slice at all; a fan-out key would make
-    // searchBatch walk its many home chains serially inside the chunk
-    // (its multi-home fallback), exactly the blow-up the fan-out
-    // exists to parallelize.  The segments between them still batch,
+    // searchBatch walk its many home chains inside the chunk (its
+    // multi-home fallback) and charge their sum, the very cost the
+    // fan-out replaces with its slowest shard.  The segments between
+    // them still batch,
     // and responses are published in submission order under any split
     // -- the preceding miss segment always flushes before a cached
     // response goes out, so per-port FIFO (and bit-identity against
@@ -869,20 +733,6 @@ ParallelSearchEngine::executeBatchSegment(core::Database &db,
     port.stats.modeledCycles.fetch_add(cycles, std::memory_order_relaxed);
     self.modeledCycles.fetch_add(cycles, std::memory_order_relaxed);
     self.batchedSearchRuns.fetch_add(1, std::memory_order_relaxed);
-
-    if (cfg.adaptiveBatch) {
-        // Keys per distinct row fetch: ~1 on uniform traffic, up to the
-        // group width on bursty traffic.  EWMA so one quiet run does
-        // not flap the strategy.
-        const double sharing = static_cast<double>(count) /
-                               std::max<uint64_t>(1, fetches);
-        self.sharingEwma = self.sharingSeeded
-            ? 0.75 * self.sharingEwma + 0.25 * sharing
-            : sharing;
-        self.sharingSeeded = true;
-        if (self.sharingEwma < cfg.adaptiveMinSharing)
-            self.serialHold = cfg.adaptiveHoldRuns;
-    }
 
     for (std::size_t i = 0; i < count; ++i) {
         const core::SearchResult &r = self.batchResults[i];
@@ -979,25 +829,12 @@ ParallelSearchEngine::ring(unsigned worker_index)
 }
 
 void
-ParallelSearchEngine::ringAll()
-{
-    for (unsigned w = 0; w < workerCount; ++w)
-        ring(w);
-}
-
-void
 ParallelSearchEngine::workerMain(unsigned index)
 {
     Worker &self = *workers[index];
     std::vector<Job> batch;
     for (;;) {
-        // Shard sub-tasks first: they unblock coordinators (possibly
-        // this worker's own producers) and are always short.
         bool progressed = false;
-        while (const auto task = fanoutTasks->tryPop()) {
-            runFanoutTask(*task);
-            progressed = true;
-        }
         if (self.queue.tryPopBatch(batch, cfg.drainBatch) > 0) {
             processJobs(batch, index);
             progressed = true;
@@ -1009,17 +846,16 @@ ParallelSearchEngine::workerMain(unsigned index)
         if (progressed)
             continue;
         // Nothing anywhere: park on the doorbell.  Producers (submits
-        // to this worker's queue, fan-out shard pushes, writer-lane
-        // releases, stop()) ring after publishing, and the predicate
-        // re-checks every source under the bell mutex, so no wakeup
-        // can be lost.
+        // to this worker's queue, writer-lane releases, stop()) ring
+        // after publishing, and the predicate re-checks every source
+        // under the bell mutex, so no wakeup can be lost.
         std::unique_lock<std::mutex> lock(self.bellMutex);
         if (self.queue.closed() && self.queue.empty() &&
-            fanoutTasks->empty() && !pendingReady(index))
+            !pendingReady(index))
             break;
         self.bell.wait(lock, [&] {
             return self.queue.closed() || !self.queue.empty() ||
-                   !fanoutTasks->empty() || pendingReady(index);
+                   pendingReady(index);
         });
     }
 }
@@ -1205,19 +1041,7 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
                     port.busy.store(false, std::memory_order_release);
                 }
             }
-            if (j > i && op == core::PortOp::Search &&
-                cfg.adaptiveBatch && self.serialHold > 0) {
-                // Backed off: recent runs found too little row sharing
-                // to amortize the grouping work -- execute serially
-                // (results identical) until the hold expires.
-                --self.serialHold;
-                self.adaptiveSerialRuns.fetch_add(
-                    1, std::memory_order_relaxed);
-                for (std::size_t k = i; k <= j; ++k) {
-                    execute(batch[k].request, batch[k].enqueued, index);
-                    noteCompletion();
-                }
-            } else if (j > i && op == core::PortOp::Search) {
+            if (j > i && op == core::PortOp::Search) {
                 executeSearchRun(batch.data() + i, j - i + 1, index);
                 for (std::size_t k = i; k <= j; ++k)
                     noteCompletion();
@@ -1235,7 +1059,8 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
 }
 
 bool
-ParallelSearchEngine::submitRequest(const core::PortRequest &request)
+ParallelSearchEngine::enqueue(const core::PortRequest &request,
+                              bool block)
 {
     if (request.port >= ports.size())
         fatal(strprintf("submit to unknown virtual port %u",
@@ -1257,9 +1082,10 @@ ParallelSearchEngine::submitRequest(const core::PortRequest &request)
     inflight.fetch_add(1, std::memory_order_acq_rel);
     PortStats &stats = ports[request.port]->stats;
     stats.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (!workers[workerOf(request.port)]->queue.push(
-            Job{request, now})) {
-        // Queue closed: roll both counts back.
+    auto &queue = workers[workerOf(request.port)]->queue;
+    if (!(block ? queue.push(Job{request, now})
+                : queue.tryPush(Job{request, now}))) {
+        // Queue full (non-blocking) or closed: roll both counts back.
         stats.submitted.fetch_sub(1, std::memory_order_relaxed);
         noteCompletion();
         return false;
@@ -1269,46 +1095,24 @@ ParallelSearchEngine::submitRequest(const core::PortRequest &request)
 }
 
 bool
+ParallelSearchEngine::submitRequest(const core::PortRequest &request)
+{
+    return enqueue(request, /*block=*/true);
+}
+
+bool
 ParallelSearchEngine::submit(unsigned port, const Key &key, uint64_t tag)
 {
-    core::PortRequest req;
-    req.port = port;
-    req.op = core::PortOp::Search;
-    req.key = key;
-    req.tag = tag;
-    return submitRequest(req);
+    return enqueue({.port = port, .key = key, .tag = tag},
+                   /*block=*/true);
 }
 
 bool
 ParallelSearchEngine::trySubmit(unsigned port, const Key &key,
                                 uint64_t tag)
 {
-    if (port >= ports.size())
-        fatal(strprintf("submit to unknown virtual port %u", port));
-    if (stopped)
-        return false;
-    core::PortRequest req;
-    req.port = port;
-    req.op = core::PortOp::Search;
-    req.key = key;
-    req.tag = tag;
-    const auto now = std::chrono::steady_clock::now();
-    if (cfg.workers == 0) {
-        ++ports[port]->stats.submitted;
-        execute(req, now, workerOf(port));
-        return true;
-    }
-    // Same submitted-before-push protocol as submitRequest().
-    inflight.fetch_add(1, std::memory_order_acq_rel);
-    PortStats &stats = ports[port]->stats;
-    stats.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (!workers[workerOf(port)]->queue.tryPush(Job{req, now})) {
-        stats.submitted.fetch_sub(1, std::memory_order_relaxed);
-        noteCompletion();
-        return false;
-    }
-    ring(workerOf(port));
-    return true;
+    return enqueue({.port = port, .key = key, .tag = tag},
+                   /*block=*/false);
 }
 
 bool
@@ -1438,9 +1242,9 @@ ParallelSearchEngine::stop()
     for (auto &w : workers)
         w->queue.close();
     for (auto &q : writerQueues)
-        q->close();       // drained already: writer lanes are idle
-    fanoutTasks->close(); // drained already: no shard can be in flight
-    ringAll();            // wake parked workers so they observe close
+        q->close(); // drained already: writer lanes are idle
+    for (unsigned w = 0; w < workerCount; ++w)
+        ring(w); // wake parked workers so they observe close
     for (std::thread &t : threads)
         t.join();
     threads.clear();
@@ -1509,8 +1313,6 @@ ParallelSearchEngine::report() const
         max_cycles = std::max(max_cycles, wc);
         out.batchedSearchRuns +=
             w.batchedSearchRuns.load(std::memory_order_relaxed);
-        out.adaptiveSerialRuns +=
-            w.adaptiveSerialRuns.load(std::memory_order_relaxed);
         out.batchedInsertRuns +=
             w.batchedInsertRuns.load(std::memory_order_relaxed);
         out.stagedMutationRuns +=

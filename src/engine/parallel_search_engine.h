@@ -53,15 +53,17 @@
  * insertBatch calls -- one row fetch + one seqlock writer section per
  * distinct row -- still in exact submission order.
  *
- * EngineConfig::rowFanoutMin additionally enables *intra-lookup*
+ * EngineConfig::rowFanoutMin additionally models *intra-lookup*
  * parallelism: a lookup whose ternary key duplicates across many home
- * rows is split into home-range shards that idle workers steal from a
- * shared sub-task queue (CaRamSlice::searchRows + shard-local scratch),
- * merged back bit-identically to the serial chain.  The one-port-one-
- * worker ownership rule is preserved: only the port's owning worker
- * touches the database's scratch, counters and overflow area, and it
- * does not move to its next request until every shard completed, so
- * mutations still never overlap a fanned-out lookup.
+ * rows is split into contiguous home-range shards, each standing for
+ * one bank fetching concurrently with the others.  The port's owning
+ * worker walks the shards itself, one after another
+ * (CaRamSlice::searchRows over worker-local scratch), merges them back
+ * bit-identically to the serial chain, and charges the port only the
+ * slowest shard's accesses.  Fan-out changes the modeled charge and
+ * nothing else: every lookup still runs on one thread, so the
+ * one-port-one-worker ownership rule holds unchanged and the modeled
+ * numbers do not depend on how many workers the engine has.
  */
 
 #include <atomic>
@@ -117,35 +119,19 @@ struct EngineConfig
     std::size_t batchSize = 1;
 
     /**
-     * Adaptive batch controller: each worker measures how much row
-     * sharing its search runs actually find (keys per distinct row
-     * fetch, EWMA-smoothed).  When the sharing drops below
-     * adaptiveMinSharing -- uniform, low-burstiness traffic that
-     * cannot amortize the grouping work -- the worker executes the
-     * next adaptiveHoldRuns search runs serially, then runs one
-     * batched probe run to re-measure.  Result streams stay
-     * bit-identical either way; only the execution strategy (and the
-     * per-distinct-row modeled accounting a batched run enjoys)
-     * changes.
-     */
-    bool adaptiveBatch = false;
-    /** Minimum keys-per-fetch to keep batching (>= 1). */
-    double adaptiveMinSharing = 1.2;
-    /** Search runs executed serially per back-off. */
-    unsigned adaptiveHoldRuns = 64;
-
-    /**
      * Intra-lookup row fan-out: a Search key whose candidate home set
      * (ternary don't-cares in hash positions duplicate a key across
      * many home rows, paper section 4.2) has at least this many homes
      * is split into up to rowFanoutMaxShards contiguous home-range
-     * shards.  The coordinating worker runs one shard itself, posts
-     * the rest to a shared sub-task queue idle workers steal from, and
-     * merges the shard bests by the serial priority rule -- results
-     * stay bit-identical to the serial chain (hit/miss, matched
-     * record, LPM winner, bucketsAccessed).  Modeled cycles charge the
-     * *slowest shard* instead of the serial chain sum: the shards
-     * overlap in modeled time like the paper's multi-bank fetch.
+     * shards.  The port's owning worker walks every shard in home
+     * order and merges the shard bests by the serial priority rule --
+     * results stay bit-identical to the serial chain (hit/miss,
+     * matched record, LPM winner, bucketsAccessed).  Modeled cycles
+     * charge the *slowest shard* instead of the serial chain sum: the
+     * shards overlap in modeled time like the paper's multi-bank
+     * fetch.  Only the modeled charge changes; the host work is the
+     * same walk on the same thread, so the charge is identical at any
+     * worker count.
      *
      * 0 disables fan-out unless the CARAM_ROW_FANOUT_MIN environment
      * variable supplies a floor (re-read at each engine's construction
@@ -326,8 +312,6 @@ struct EngineReport
     double wallSeconds = 0.0;
     /** Search runs executed through Database::searchBatch. */
     uint64_t batchedSearchRuns = 0;
-    /** Search runs the adaptive controller forced serial. */
-    uint64_t adaptiveSerialRuns = 0;
     /** Insert runs executed through Database::insertBatch. */
     uint64_t batchedInsertRuns = 0;
     /** Merged row-op accounting of every batched insert run. */
@@ -352,7 +336,7 @@ struct EngineReport
     uint64_t rowsCombined = 0;
     /** Lookups routed through the intra-lookup row fan-out. */
     uint64_t fanoutLookups = 0;
-    /** Shards those lookups split into (incl. the coordinator's). */
+    /** Shards those lookups split into. */
     uint64_t fanoutShards = 0;
     /** Fan-out-eligible lookups that collapsed to a single shard. */
     uint64_t fanoutSerialFallbacks = 0;
@@ -545,9 +529,11 @@ class ParallelSearchEngine
     struct Worker;
 
     struct Job;
-    struct FanoutTask;
     struct MutationRun;
 
+    /** Shared body of every submit: blocking push when @p block,
+     *  otherwise false on a full queue. */
+    bool enqueue(const core::PortRequest &request, bool block);
     void workerMain(unsigned index);
     /** Writer-lane thread body (concurrentMutation only). */
     void writerMain(unsigned lane);
@@ -582,18 +568,15 @@ class ParallelSearchEngine
      */
     bool fanoutEligible(core::Database &db, const Key &key,
                         Worker &self);
-    /** Shard, steal, merge and publish one fan-out lookup.  Expects
+    /** Shard, walk, merge and publish one fan-out lookup.  Expects
      *  the worker's fanoutHomes scratch filled by fanoutEligible(). */
     void executeFanoutSearch(core::Database &db,
                              const core::PortRequest &request,
                              std::chrono::steady_clock::time_point
                                  enqueued,
                              unsigned worker_index);
-    /** Match one shard and arrive at its lookup's latch. */
-    void runFanoutTask(const FanoutTask &task);
-    /** Wake one parked worker / all parked workers (doorbell). */
+    /** Wake one parked worker (doorbell). */
     void ring(unsigned worker_index);
-    void ringAll();
     /** Execute @p count same-port Insert jobs as one bulk ingest. */
     void executeInsertRun(const Job *jobs, std::size_t count,
                           unsigned worker_index);
@@ -636,8 +619,6 @@ class ParallelSearchEngine
     bool prefilter_ = false;
     /** Hot-key result cache (null = off; see resultCacheEntries). */
     std::unique_ptr<ResultCache> resultCache_;
-    /** Shared shard sub-task queue the workers steal from. */
-    std::unique_ptr<sim::ConcurrentBoundedQueue<FanoutTask>> fanoutTasks;
     /** Resolved writer-lane count (config, or CARAM_WRITER_LANES);
      *  0 when mutations do not route through writer lanes. */
     unsigned writerLaneCount_ = 0;

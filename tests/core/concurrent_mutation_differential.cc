@@ -14,7 +14,7 @@
  * data, key, bucketsAccessed), and the final tables must agree on
  * every key the stream ever touched.  Swept over worker counts x batch
  * widths x key spaces (binary probing and ternary multi-home with row
- * fan-out forced on, so shard stealing interleaves with hand-offs) x
+ * fan-out forced on, so inline shard walks interleave with hand-offs) x
  * writer-lane counts x combining on/off (staged runs drained by a
  * checked-out lane must execute in FIFO position).
  * ci_tsan.sh runs this suite under TSan.
@@ -291,8 +291,8 @@ TEST(ConcurrentMutationDifferential, BinaryFourWorkersBatched)
 
 TEST(ConcurrentMutationDifferential, TernaryFanoutPlusWriterLane)
 {
-    // Row fan-out forced down to 2 homes: shard stealing, batched runs
-    // and writer-lane hand-offs all interleave in one stream.
+    // Row fan-out forced down to 2 homes: inline shard walks, batched
+    // runs and writer-lane hand-offs all interleave in one stream.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xc0ffee05);
 }
 
@@ -333,8 +333,8 @@ TEST(ConcurrentMutationDifferential, BinaryFourLanesNoCombining)
 
 TEST(ConcurrentMutationDifferential, TernaryFanoutFourLanesCombining)
 {
-    // The full interleaving: shard stealing, batched runs, four writer
-    // lanes and staged combining in one ternary stream.
+    // The full interleaving: inline shard walks, batched runs, four
+    // writer lanes and staged combining in one ternary stream.
     runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xc0ffee0b, 4, true);
 }
 

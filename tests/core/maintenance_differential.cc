@@ -414,7 +414,7 @@ TEST(MaintenanceDifferential, TernaryFanoutTrimOnly)
 {
     // Ternary tables get reach trimming only (migration is restricted
     // to fully specified keys); fan-out forced down to 2 homes so
-    // shard stealing interleaves with the trim steps.
+    // inline shard walks interleave with the trim steps.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xadd06);
 }
 
@@ -619,6 +619,10 @@ TEST(MaintenanceOnline, TrimsHollowedReachAfterTailErases)
     EngineConfig cfg;
     cfg.workers = 1;
     cfg.maintenance = true;
+    // The walk lengths checked here are unfiltered fetch counts: with
+    // the pre-filter consulted, the miss would skip its home row and
+    // fetch nothing.  Pin it off (explicit false beats CARAM_PREFILTER).
+    cfg.prefilter = false;
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     ASSERT_TRUE(awaitReport(

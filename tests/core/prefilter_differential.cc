@@ -344,7 +344,7 @@ TEST(PrefilterDifferential, BinaryWriterLane)
 TEST(PrefilterDifferential, TernaryFanoutWriterLane)
 {
     // Fan-out forced down to 2 homes: shard pruning drops whole
-    // candidate homes before sub-tasks are enqueued.
+    // candidate homes before the shards are walked.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, true, 0x9f117e04);
 }
 

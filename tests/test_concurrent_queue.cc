@@ -1,7 +1,6 @@
-/** @file Tests for sim::ConcurrentBoundedQueue (including MPMC stress)
- *  and sim::CompletionLatch. */
+/** @file Tests for sim::ConcurrentBoundedQueue (including MPMC
+ *  stress). */
 
-#include "sim/completion_latch.h"
 #include "sim/concurrent_queue.h"
 
 #include <gtest/gtest.h>
@@ -133,73 +132,6 @@ TEST(ConcurrentQueue, TryPopBatchDrainsAfterClose)
     std::vector<int> batch;
     EXPECT_EQ(q.tryPopBatch(batch, 8), 2u);
     EXPECT_EQ(batch, (std::vector<int>{7, 8}));
-}
-
-TEST(CompletionLatch, WaitReturnsAfterAllArrivals)
-{
-    CompletionLatch latch;
-    latch.reset(3);
-    EXPECT_FALSE(latch.tryWait());
-    latch.arrive();
-    latch.arrive();
-    EXPECT_FALSE(latch.tryWait());
-    latch.arrive();
-    EXPECT_TRUE(latch.tryWait());
-    latch.wait(); // already complete: returns immediately
-}
-
-TEST(CompletionLatch, ZeroCountIsImmediatelyComplete)
-{
-    CompletionLatch latch;
-    latch.reset(0);
-    EXPECT_TRUE(latch.tryWait());
-    latch.wait();
-}
-
-TEST(CompletionLatch, ArriveWithoutResetPanics)
-{
-    CompletionLatch latch;
-    EXPECT_DEATH(latch.arrive(), "without a matching reset");
-    latch.reset(1);
-    latch.arrive();
-    EXPECT_DEATH(latch.arrive(), "without a matching reset");
-}
-
-TEST(CompletionLatch, CrossThreadForkJoin)
-{
-    // The engine's shape: a coordinator arms the latch, worker threads
-    // arrive as sub-tasks finish, the coordinator blocks in wait().
-    // Reused across rounds without reallocation.
-    CompletionLatch latch;
-    std::atomic<int> done{0};
-    for (int round = 0; round < 50; ++round) {
-        constexpr int kTasks = 4;
-        latch.reset(kTasks);
-        std::vector<std::thread> tasks;
-        for (int t = 0; t < kTasks; ++t) {
-            tasks.emplace_back([&] {
-                done.fetch_add(1, std::memory_order_relaxed);
-                latch.arrive();
-            });
-        }
-        latch.wait();
-        EXPECT_EQ(done.load(), (round + 1) * kTasks);
-        for (auto &t : tasks)
-            t.join();
-    }
-}
-
-TEST(CompletionLatch, HelpFirstJoinObservesCompletion)
-{
-    // tryWait() polled from a help-first loop must flip exactly when
-    // the last arrival lands, even when that arrival races the poll.
-    CompletionLatch latch;
-    latch.reset(1);
-    std::thread worker([&] { latch.arrive(); });
-    while (!latch.tryWait())
-        std::this_thread::yield();
-    worker.join();
-    EXPECT_TRUE(latch.tryWait());
 }
 
 TEST(ConcurrentQueue, MultiProducerMultiConsumerStress)

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -447,12 +448,11 @@ TEST(Engine, BatchedIngestMatchesSerial)
     expectSameTable(sys->database(1), serial_sys->database(1));
 }
 
-TEST(Engine, AdaptiveBatchBacksOffOnUniformTraffic)
+TEST(Engine, BatchedSearchMatchesSerialOnUniformAndBurstyTraffic)
 {
-    // Uniform wide-keyspace searches find almost no row sharing: the
-    // adaptive controller must fall back to serial runs (and the
-    // result stream must not change).  The bursty counterpart keeps
-    // the sharing high and must never trigger the backoff.
+    // Uniform wide-keyspace searches find almost no row sharing, yet
+    // the batched result stream must not change.  The bursty
+    // counterpart shares rows and must run through batched searches.
     auto serial_sys = buildLoaded(1, 150);
     const auto uniform = searchStream(1, 2000, 21);
     // No env mirroring: the subject engine pins the filter off below.
@@ -462,11 +462,8 @@ TEST(Engine, AdaptiveBatchBacksOffOnUniformTraffic)
     EngineConfig cfg;
     cfg.workers = 1;
     cfg.batchSize = 32;
-    cfg.adaptiveBatch = true;
-    cfg.adaptiveMinSharing = 1.5;
-    // The backoff thresholds below are tuned to unfiltered row-fetch
-    // counts; the pre-filter skipping miss rows legitimately changes
-    // the sharing signal, so pin it off for this controller test.
+    // The reference above is unfiltered, so pin the filter off too
+    // (explicit false beats the forced-filter CI leg).
     cfg.prefilter = false;
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
@@ -474,7 +471,6 @@ TEST(Engine, AdaptiveBatchBacksOffOnUniformTraffic)
     eng.drain();
     expectMatchesReference(eng, reference);
     eng.stop();
-    EXPECT_GT(eng.report().adaptiveSerialRuns, 0u);
 
     // Bursty: long same-key trains share one chain walk per train.
     Rng rng(23);
@@ -497,7 +493,6 @@ TEST(Engine, AdaptiveBatchBacksOffOnUniformTraffic)
     EXPECT_EQ(eng2.submitBatch(bursty), bursty.size());
     eng2.drain();
     eng2.stop();
-    EXPECT_EQ(eng2.report().adaptiveSerialRuns, 0u);
     EXPECT_GT(eng2.report().batchedSearchRuns, 0u);
 }
 
@@ -694,8 +689,9 @@ TEST(Engine, ModeledSpeedupScalesWithWorkersOnBalancedLoad)
 // ---------------------------------------------------------------------
 // Intra-lookup row fan-out: ternary keys with don't-care bits in hash
 // tap positions duplicate across many candidate home rows; the engine
-// shards those lookups across idle workers and must stay bit-identical
-// to the serial subsystem drain.
+// splits those lookups into home-range shards, walks them on the
+// port's owning worker, charges the slowest shard, and must stay
+// bit-identical to the serial subsystem drain.
 
 /** Hash taps of the ternary test databases; a search key leaving the
  *  first w of them don't-care expands to exactly 2^w home rows. */
@@ -811,8 +807,8 @@ wildMutationStream(unsigned nports, std::size_t count, uint64_t seed)
 
 TEST(Engine, FanoutInlineMatchesSerial)
 {
-    // workers == 0: the shards run sequentially inline through the
-    // same scheduler code path -- deterministic, and bit-identical to
+    // workers == 0: the shards run on the submitting thread through
+    // the same fan-out code path -- deterministic, and bit-identical to
     // the serial subsystem drain.
     const auto stream = wildSearchStream(2, 150, 6, 91);
     auto serial_sys = buildLoadedTernary(2, 120);
@@ -832,12 +828,12 @@ TEST(Engine, FanoutInlineMatchesSerial)
 
 TEST(Engine, FanoutThreadedMatchesSerialWithMutations)
 {
-    // Four workers stealing each other's shards under concurrent
-    // multi-port traffic with interleaved mutations: the per-port
-    // response streams and final table sizes must stay bit-identical
-    // to serial execution (fan-out drains before Insert/Erase on the
-    // same port).  This is the primary TSan target for the fan-out
-    // scheduler.
+    // Four workers each fanning out their own ports' lookups under
+    // concurrent multi-port traffic with interleaved mutations and
+    // writer-lane hand-offs: the per-port response streams and final
+    // table sizes must stay bit-identical to serial execution (a
+    // fan-out lookup completes before the port's next Insert/Erase).
+    // This is the TSan target for fan-out beside the writer lanes.
     const auto stream = wildMutationStream(4, 1200, 77);
     auto serial_sys = buildLoadedTernary(4, 80);
     const auto reference = serialReference(*serial_sys, stream);
@@ -847,7 +843,7 @@ TEST(Engine, FanoutThreadedMatchesSerialWithMutations)
     cfg.workers = 4;
     cfg.rowFanoutMin = 2;
     cfg.rowFanoutMaxShards = 4;
-    cfg.queueCapacity = 64; // backpressure while shards are in flight
+    cfg.queueCapacity = 64; // backpressure behind wide lookups
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     EXPECT_EQ(eng.submitBatch(stream), stream.size());
@@ -864,7 +860,7 @@ TEST(Engine, FanoutThreadedMatchesSerialWithMutations)
 TEST(Engine, FanoutConcurrentProducersMatchSerial)
 {
     // Two producer threads submitting disjoint port sets while four
-    // workers coordinate and steal shards: per-port FIFO order is
+    // workers fan out their ports' lookups: per-port FIFO order is
     // still deterministic, so every port's response stream must match
     // the serial reference.
     const auto streamA = wildMutationStream(2, 600, 101); // ports 0..1
@@ -929,8 +925,8 @@ TEST(Engine, FanoutStatsAccounted)
     EXPECT_EQ(rep.completed, 15u);
 
     // A forced threshold of 1 routes even single-home keys through the
-    // scheduler; they collapse to one shard and are counted as serial
-    // fallbacks (the forced-fan-out CI leg's configuration).
+    // fan-out path; they collapse to one shard and are counted as
+    // serial fallbacks (the forced-fan-out CI leg's configuration).
     auto sys2 = buildLoadedTernary(1, 60);
     EngineConfig cfg2;
     cfg2.workers = 0;
@@ -1020,7 +1016,7 @@ TEST(Engine, FanoutBatchInteractionMatchesSerial)
     for (std::size_t batch : {8u, 32u}) {
         auto sys = buildLoadedTernary(1, 100);
         EngineConfig cfg;
-        cfg.workers = 2; // port 0's owner plus one shard thief
+        cfg.workers = 2; // port 0's owner plus an idle worker
         cfg.batchSize = batch;
         cfg.rowFanoutMin = 4;
         cfg.rowFanoutMaxShards = 8;
@@ -1034,6 +1030,107 @@ TEST(Engine, FanoutBatchInteractionMatchesSerial)
         EXPECT_GT(rep.batchedSearchRuns, 0u);
         EXPECT_GT(rep.fanoutLookups, 0u);
     }
+}
+
+TEST(Engine, FanoutModeledChargeIndependentOfWorkerCount)
+{
+    // Fan-out models concurrent banks; it does not depend on host
+    // threads.  A 64-home ternary stream over four ports must give the
+    // same per-port modeled cycles, shard counts and response streams
+    // inline, on one worker and on four.
+    std::vector<PortRequest> stream;
+    Rng rng(61);
+    uint64_t tag = 0;
+    for (int i = 0; i < 100; ++i) {
+        for (unsigned p = 0; p < 4; ++p) {
+            PortRequest req;
+            req.port = p;
+            req.op = PortOp::Search;
+            req.key = ternaryKey(rng, 6); // 2^6 = 64 candidate homes
+            req.tag = ++tag;
+            stream.push_back(std::move(req));
+        }
+    }
+    struct Run
+    {
+        std::vector<uint64_t> cycles;
+        uint64_t fanoutShards = 0;
+        std::vector<std::vector<PortResponse>> responses;
+    };
+    auto run = [&](unsigned workers) {
+        auto sys = buildLoadedTernary(4, 100);
+        EngineConfig cfg;
+        cfg.workers = workers;
+        cfg.rowFanoutMin = 2;
+        cfg.rowFanoutMaxShards = 8;
+        cfg.queueCapacity = stream.size() + 1;
+        // Background maintenance interleaves with the stream by
+        // scheduling, so pin it off under the forced CI leg.
+        cfg.maintenance = false;
+        ParallelSearchEngine eng(*sys, cfg);
+        eng.start();
+        EXPECT_EQ(eng.submitBatch(stream), stream.size());
+        eng.drain();
+        eng.stop();
+        Run out;
+        out.fanoutShards = eng.report().fanoutShards;
+        out.responses.resize(4);
+        for (unsigned p = 0; p < 4; ++p) {
+            out.cycles.push_back(eng.portStats(p).modeledCycles.load());
+            while (auto r = eng.fetchResult(p))
+                out.responses[p].push_back(std::move(*r));
+        }
+        return out;
+    };
+    const Run inline_run = run(0);
+    EXPECT_GT(inline_run.fanoutShards, 0u);
+    for (unsigned workers : {1u, 4u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        const Run threaded = run(workers);
+        EXPECT_EQ(threaded.cycles, inline_run.cycles);
+        EXPECT_EQ(threaded.fanoutShards, inline_run.fanoutShards);
+        for (unsigned p = 0; p < 4; ++p) {
+            ASSERT_EQ(threaded.responses[p].size(),
+                      inline_run.responses[p].size());
+            for (std::size_t i = 0; i < threaded.responses[p].size(); ++i)
+                expectSameResponse(threaded.responses[p][i],
+                                   inline_run.responses[p][i]);
+        }
+    }
+}
+
+TEST(Engine, FanoutFallbackChargesPrefilterOnce)
+{
+    // A forced threshold of 1 with the pre-filter on: a single-home
+    // lookup whose home the filter prunes drops below the threshold and
+    // takes the serial path.  The filter's probe/skip counters must
+    // still equal a filtered serial subsystem's on the same stream --
+    // the pruned home is charged by the serial walk, not twice.
+    const auto stream = searchStream(1, 2000, 43);
+    auto serial_sys = buildLoaded(1, 40);
+    serial_sys->database(0).setPrefilterEnabled(true);
+    const auto reference = serialReference(*serial_sys, stream, false);
+    core::Database &ref_db = serial_sys->database(0);
+    uint64_t probes = ref_db.slice().prefilterProbes();
+    uint64_t skips = ref_db.slice().prefilterSkips();
+    if (const core::CaRamSlice *ov = ref_db.overflowSlice()) {
+        probes += ov->prefilterProbes();
+        skips += ov->prefilterSkips();
+    }
+    ASSERT_GT(skips, 0u);
+
+    auto sys = buildLoaded(1, 40);
+    EngineConfig cfg;
+    cfg.workers = 0;
+    cfg.rowFanoutMin = 1;
+    cfg.prefilter = true;
+    cfg.resultCacheEntries = 0; // every lookup must reach the slice
+    ParallelSearchEngine eng(*sys, cfg);
+    EXPECT_EQ(eng.submitBatch(stream), stream.size());
+    expectMatchesReference(eng, reference);
+    const EngineReport rep = eng.report();
+    EXPECT_EQ(rep.prefilterProbes, probes);
+    EXPECT_EQ(rep.prefilterSkips, skips);
 }
 
 TEST(Engine, ReportIsDeterministicAcrossRuns)
@@ -1254,6 +1351,39 @@ TEST(Engine, ResultCacheEntriesEnvReReadAtEachConstruction)
         setenv("CARAM_RESULT_CACHE_ENTRIES", saved.c_str(), 1);
     else
         unsetenv("CARAM_RESULT_CACHE_ENTRIES");
+}
+
+TEST(Engine, GarbageEnvKnobsLeaveConfigInControl)
+{
+    // A CARAM_* value that is not a number, or lies outside the knob's
+    // range, is ignored (with a one-time warning per variable): the
+    // engine resolves exactly as if the variable were unset.
+    const char *names[] = {"CARAM_ROW_FANOUT_MIN", "CARAM_WRITER_LANES",
+                           "CARAM_PREFILTER"};
+    std::vector<std::optional<std::string>> saved;
+    for (const char *n : names) {
+        const char *v = std::getenv(n);
+        saved.push_back(v ? std::optional<std::string>(v) : std::nullopt);
+    }
+    auto sys = buildLoaded(1, 10);
+    EngineConfig cfg;
+    cfg.workers = 1;
+    cfg.maintenance = false;
+    setenv("CARAM_ROW_FANOUT_MIN", "4x", 1);
+    setenv("CARAM_WRITER_LANES", "0", 1);
+    setenv("CARAM_PREFILTER", "2", 1);
+    for (int round = 0; round < 2; ++round) { // second round: no re-warn
+        ParallelSearchEngine eng(*sys, cfg);
+        EXPECT_EQ(eng.resolvedRowFanoutMin(), 0u);
+        EXPECT_EQ(eng.resolvedWriterLanes(), 1u);
+        EXPECT_FALSE(eng.resolvedPrefilter());
+    }
+    for (std::size_t i = 0; i < saved.size(); ++i) {
+        if (saved[i])
+            setenv(names[i], saved[i]->c_str(), 1);
+        else
+            unsetenv(names[i]);
+    }
 }
 
 TEST(Engine, MaintenanceEnvReReadAtEachConstruction)
