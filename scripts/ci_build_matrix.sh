@@ -72,13 +72,24 @@
 #      wins over the environment knob (and inline engines ignore the
 #      knob entirely).
 #
+#   9. A Debug build under AddressSanitizer + UndefinedBehaviorSanitizer
+#      with libstdc++ assertions (-D_GLIBCXX_ASSERTIONS), running the
+#      full suite: catches out-of-bounds and use-after-free accesses the
+#      guard-word row gathers, the atomic_ref row stores and the result
+#      cache's payload copies could make, plus out-of-range std::span /
+#      std::vector indexing that stays inside the backing storage (and
+#      so passes every other leg).  Any sanitizer report fails the leg.
+#      About 40 s of test time on a 4-core host, on top of the build.
+#
 # Usage: scripts/ci_build_matrix.sh [scalar-build-dir] [simd-build-dir]
-#        (defaults build-scalar and build)
+#                                   [asan-build-dir]
+#        (defaults build-scalar, build and build-asan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALAR_DIR="${1:-build-scalar}"
 SIMD_DIR="${2:-build}"
+ASAN_DIR="${3:-build-asan}"
 
 echo "=== leg 1: -DCARAM_SIMD=OFF build + full ctest ==="
 cmake -B "$SCALAR_DIR" -S . -DCARAM_SIMD=OFF
@@ -114,5 +125,15 @@ CARAM_WRITER_LANES=4 CARAM_RESULT_CACHE_ENTRIES=4096 \
 echo "=== leg 8: SIMD build, background maintenance forced on ==="
 CARAM_MAINTENANCE=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
+
+echo "=== leg 9: Debug ASan + UBSan + libstdc++ assertions, full ctest ==="
+SAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
+cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="$SAN_FLAGS -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" \
+    -DCMAKE_SHARED_LINKER_FLAGS="$SAN_FLAGS"
+cmake --build "$ASAN_DIR" -j"$(nproc)"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir "$ASAN_DIR" --output-on-failure -j"$(nproc)"
 
 echo "build matrix: all legs passed"

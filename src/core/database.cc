@@ -372,39 +372,19 @@ Database::mergeOverflow(const Key &search_key, SearchResult &result,
         overflow_fetches += ov.bucketsAccessed;
         result.bucketsAccessed =
             std::max(result.bucketsAccessed, ov.bucketsAccessed);
-        if (ov.hit) {
-            const bool take_overflow =
-                !result.hit ||
-                (slice_->config().lpm &&
-                 ov.key.carePopcount() > result.key.carePopcount());
-            if (take_overflow) {
-                const unsigned accesses = result.bucketsAccessed;
-                result = ov;
-                result.bucketsAccessed = accesses;
-            }
-        }
+        offer(result, ov, slice_->config().lpm);
         return;
     }
     if (!overflow_)
         return;
 
     // The victim TCAM is searched simultaneously; it costs no extra
-    // memory access.
+    // memory access.  Its winner reports row 0 and its entry index.
     const cam::CamSearchResult ov = overflow_->search(search_key);
-    if (!ov.hit)
-        return;
-    const bool take_overflow =
-        !result.hit ||
-        (slice_->config().lpm &&
-         ov.key.carePopcount() > result.key.carePopcount());
-    if (take_overflow) {
-        result.hit = true;
-        result.multipleMatch = ov.multipleMatch;
-        result.row = 0;
-        result.slot = static_cast<unsigned>(ov.index);
-        result.data = ov.data;
-        result.key = ov.key;
-    }
+    offer(result,
+          BucketMatch{ov.hit, ov.multipleMatch,
+                      static_cast<unsigned>(ov.index), ov.data, ov.key},
+          0, slice_->config().lpm);
 }
 
 uint64_t

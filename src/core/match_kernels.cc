@@ -3,7 +3,15 @@
 #include <bit>
 
 #if defined(CARAM_X86_SIMD)
+// GCC 12's AVX-512 header builds some intrinsics (_mm512_zextsi256_si512
+// among them) on a deliberately undefined vector and then warns about
+// it once inlined into an optimized build; the warning is about the
+// header, not about this file.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 namespace caram::core::kernels {

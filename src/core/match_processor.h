@@ -55,18 +55,9 @@
 #include "core/bucket.h"
 #include "core/config.h"
 #include "core/match_kernels.h"
+#include "core/record.h"
 
 namespace caram::core {
-
-/** Result of matching one bucket. */
-struct BucketMatch
-{
-    bool hit = false;
-    bool multipleMatch = false;
-    unsigned slot = 0;
-    uint64_t data = 0;
-    Key key;
-};
 
 /** The decoupled match logic shared by a slice's bucket accesses. */
 class MatchProcessor

@@ -41,6 +41,51 @@ struct SearchResult
     unsigned bucketsAccessed = 0; ///< memory accesses this lookup took
 };
 
+/** Result of matching one bucket. */
+struct BucketMatch
+{
+    bool hit = false;
+    bool multipleMatch = false;
+    unsigned slot = 0;
+    uint64_t data = 0;
+    Key key;
+};
+
+/**
+ * The match priority rule, the one place a lookup picks its winner:
+ * fold the match @p m found in bucket @p row into @p best.  Exact mode
+ * keeps the first hit; LPM mode keeps the first match with the strictly
+ * longest care popcount, so a spilled or later-home long prefix still
+ * wins.  Returns true when an exact-mode walk should stop (@p m hit).
+ */
+inline bool
+offer(SearchResult &best, const BucketMatch &m, uint64_t row, bool lpm)
+{
+    if (!m.hit)
+        return false;
+    if (!best.hit ||
+        (lpm && m.key.carePopcount() > best.key.carePopcount())) {
+        best.hit = true;
+        best.multipleMatch = m.multipleMatch;
+        best.row = row;
+        best.slot = m.slot;
+        best.data = m.data;
+        best.key = m.key;
+    }
+    return !lpm;
+}
+
+/** offer() of another lookup's winner (a fan-out shard's or an overflow
+ *  area's); @p best keeps its own bucketsAccessed. */
+inline bool
+offer(SearchResult &best, const SearchResult &other, bool lpm)
+{
+    return offer(best,
+                 BucketMatch{other.hit, other.multipleMatch, other.slot,
+                             other.data, other.key},
+                 other.row, lpm);
+}
+
 } // namespace caram::core
 
 #endif // CARAM_CORE_RECORD_H_

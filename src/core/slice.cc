@@ -137,30 +137,36 @@ CaRamSlice::homeRow(const Key &key) const
     return idxGen->index(key.valueWords(), key.bits());
 }
 
+void
+CaRamSlice::candidateHomes(const Key &search_key,
+                           std::vector<uint64_t> &out) const
+{
+    if (search_key.bits() != cfg.logicalKeyBits)
+        fatal("key width does not match the slice configuration");
+    out.clear();
+    // Fully specified keys (the common lookup traffic) have exactly one
+    // candidate: skip the per-tap care scan of candidateIndices.
+    if (search_key.fullySpecified())
+        out.push_back(idxGen->index(search_key.valueWords(),
+                                    search_key.bits()));
+    else
+        idxGen->candidateIndices(search_key.valueWords(),
+                                 search_key.careWords(),
+                                 search_key.bits(), out);
+}
+
 std::vector<uint64_t>
 CaRamSlice::homeRows(const Key &key) const
 {
-    if (key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
     std::vector<uint64_t> homes;
-    idxGen->candidateIndices(key.valueWords(), key.careWords(), key.bits(),
-                             homes);
+    candidateHomes(key, homes);
     return homes;
 }
 
 const std::vector<uint64_t> &
 CaRamSlice::homeRowsInto(const Key &key)
 {
-    if (key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
-    homesScratch.clear();
-    // Fully specified keys (the common lookup traffic) have exactly one
-    // candidate: skip the per-tap care scan of candidateIndices.
-    if (key.fullySpecified())
-        homesScratch.push_back(idxGen->index(key.valueWords(), key.bits()));
-    else
-        idxGen->candidateIndices(key.valueWords(), key.careWords(),
-                                 key.bits(), homesScratch);
+    candidateHomes(key, homesScratch);
     return homesScratch;
 }
 
@@ -168,21 +174,11 @@ uint64_t
 CaRamSlice::searchRegionMask(const Key &search_key,
                              std::vector<uint64_t> &scratch)
 {
-    if (search_key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
     // The FULL candidate home set, before any pre-filter pruning: a
     // pruned home that later gains a matching record must still
     // invalidate this lookup's cached entry, and its home row is where
     // that insert writes (slot or reach/aux word).
-    scratch.clear();
-    if (search_key.fullySpecified()) {
-        scratch.push_back(
-            idxGen->index(search_key.valueWords(), search_key.bits()));
-    } else {
-        idxGen->candidateIndices(search_key.valueWords(),
-                                 search_key.careWords(),
-                                 search_key.bits(), scratch);
-    }
+    candidateHomes(search_key, scratch);
     // Cost bound: a lookup wide enough to enumerate more rows than
     // this is stamped with full coverage instead (strictly more
     // conservative, never wrong).
@@ -611,101 +607,110 @@ CaRamSlice::insertBatch(std::span<const Record> records,
                        static_cast<unsigned>(records.size()), outcomes);
 }
 
-bool
-CaRamSlice::searchChain(uint64_t home,
-                        const MatchProcessor::PackedKey &packed,
-                        SearchResult &best, std::vector<uint64_t> *trace)
+/** The pre-filter state a row source consults with: whether the filter
+ *  is consulted at all, and the search key's signature. */
+struct CaRamSlice::FilterConsult
 {
-    // With the pre-filter consulted, the chain length comes from the
-    // filter's reach mirror (no home-row touch) and provably-miss rows
-    // are skipped before the fetch and the bucketsAccessed charge --
-    // only the skip changes; a row that is fetched is matched exactly
-    // as before, so hit payloads and non-skipped accounting are
-    // bit-identical to the unfiltered walk.
-    const bool pf = prefilterActive();
-    uint64_t sig = 0;
-    bool sig_usable = false;
-    unsigned reach;
-    if (pf) {
-        sig_usable = packed.key.fullySpecified();
-        sig = RowPrefilter::signatureOf(packed.key);
-        reach = filter_.reach(home);
-    } else {
-        reach = bucket(home).reach();
+    FilterConsult(const Key &key, bool filtered)
+        : filtered(filtered),
+          sig(filtered ? RowPrefilter::signatureOf(key) : 0),
+          sigUsable(filtered && key.fullySpecified())
+    {
     }
-    for (unsigned d = 0; d <= reach; ++d) {
-        const uint64_t row = probeRow(home, d, packed.key);
-        if (pf) {
-            prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
-            if (!filter_.mayMatch(row, sig, sig_usable)) {
-                prefilterSkips_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                continue;
-            }
-        }
-        ++best.bucketsAccessed;
+
+    const bool filtered;
+    const uint64_t sig;
+    const bool sigUsable;
+};
+
+/**
+ * Row source over the live array, for the single-owner search paths.
+ * With the pre-filter consulted, the chain length comes from the
+ * filter's reach mirror (no home-row touch); only the skip changes -- a
+ * row that is fetched is matched exactly as without the filter.  Every
+ * fetched row is appended to @p trace when one is given.
+ */
+struct CaRamSlice::DirectRows : FilterConsult
+{
+    DirectRows(CaRamSlice &slice, const Key &key, bool filtered,
+               std::vector<uint64_t> *trace = nullptr)
+        : FilterConsult(key, filtered), s(slice), trace(trace)
+    {
+    }
+
+    /** Reach of @p home's chain; @p home_may gets the home row's
+     *  filter verdict when the filter is consulted. */
+    unsigned
+    open(uint64_t home, bool &home_may) const
+    {
+        if (!filtered)
+            return s.bucket(home).reach();
+        unsigned reach = 0;
+        home_may = s.filter_.consultHome(home, sig, sigUsable, reach);
+        return reach;
+    }
+
+    bool
+    mayMatch(uint64_t row) const
+    {
+        return s.filter_.mayMatch(row, sig, sigUsable);
+    }
+
+    BucketView
+    fetch(uint64_t row, unsigned /*d*/)
+    {
         if (trace)
             trace->push_back(row);
-        BucketView b = bucket(row);
-        const BucketMatch m = cfg.lpm
-            ? matcher.searchBucketBestPacked(b, packed)
-            : matcher.searchBucketPacked(b, packed);
-        if (!m.hit)
-            continue;
-        if (!cfg.lpm) {
-            best.hit = true;
-            best.multipleMatch = m.multipleMatch;
-            best.row = row;
-            best.slot = m.slot;
-            best.data = m.data;
-            best.key = m.key;
-            return true;
-        }
-        // LPM: keep the match with the most specified bits across the
-        // whole probe chain (spilled entries are the lower-priority
-        // ones, but a spilled long prefix must still win).
-        const unsigned pop = m.key.carePopcount();
-        if (!best.hit || pop > best.key.carePopcount()) {
-            best.hit = true;
-            best.multipleMatch = m.multipleMatch;
-            best.row = row;
-            best.slot = m.slot;
-            best.data = m.data;
-            best.key = m.key;
+        return s.bucket(row);
+    }
+
+    CaRamSlice &s;
+    std::vector<uint64_t> *const trace;
+};
+
+template <class Rows>
+void
+CaRamSlice::walkChain(std::span<const uint64_t> homes,
+                      const MatchProcessor::PackedKey &packed,
+                      SearchResult &best, Rows &rows) const
+{
+    for (const uint64_t home : homes) {
+        bool home_may = true;
+        const unsigned reach = rows.open(home, home_may);
+        for (unsigned d = 0; d <= reach; ++d) {
+            const uint64_t row = probeRow(home, d, packed.key);
+            if (rows.filtered) {
+                prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
+                if (!(d == 0 ? home_may : rows.mayMatch(row))) {
+                    prefilterSkips_.fetch_add(1,
+                                              std::memory_order_relaxed);
+                    continue;
+                }
+            }
+            ++best.bucketsAccessed;
+            const BucketView b = rows.fetch(row, d);
+            const BucketMatch m = cfg.lpm
+                ? matcher.searchBucketBestPacked(b, packed)
+                : matcher.searchBucketPacked(b, packed);
+            if (offer(best, m, row, cfg.lpm))
+                return;
         }
     }
-    return false;
 }
 
 SearchResult
-CaRamSlice::search(const Key &search_key)
+CaRamSlice::search(const Key &search_key,
+                   std::vector<uint64_t> *rows_accessed)
 {
     const ScratchUse guard(*this);
     ++searchCount;
-    SearchResult best;
-    matcher.pack(search_key, packedKey_);
     // A search key with don't-care bits in hash positions must access
     // every candidate bucket (section 4, "Discussions").
-    for (uint64_t home : homeRowsInto(search_key)) {
-        if (searchChain(home, packedKey_, best, nullptr))
-            break; // non-LPM first hit
-    }
-    accessCount += best.bucketsAccessed;
-    return best;
-}
-
-SearchResult
-CaRamSlice::searchTraced(const Key &search_key,
-                         std::vector<uint64_t> &rows_accessed)
-{
-    const ScratchUse guard(*this);
-    ++searchCount;
-    SearchResult best;
+    const auto &homes = homeRowsInto(search_key);
     matcher.pack(search_key, packedKey_);
-    for (uint64_t home : homeRowsInto(search_key)) {
-        if (searchChain(home, packedKey_, best, &rows_accessed))
-            break;
-    }
+    SearchResult best;
+    DirectRows rows(*this, search_key, prefilterActive(), rows_accessed);
+    walkChain(homes, packedKey_, best, rows);
     accessCount += best.bucketsAccessed;
     return best;
 }
@@ -717,23 +722,6 @@ CaRamSlice::packSearchKey(const Key &search_key,
     if (search_key.bits() != cfg.logicalKeyBits)
         fatal("key width does not match the slice configuration");
     matcher.pack(search_key, out);
-}
-
-void
-CaRamSlice::candidateHomes(const Key &search_key,
-                           std::vector<uint64_t> &out) const
-{
-    if (search_key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
-    out.clear();
-    // Same fast path and ordering as homeRowsInto().
-    if (search_key.fullySpecified())
-        out.push_back(idxGen->index(search_key.valueWords(),
-                                    search_key.bits()));
-    else
-        idxGen->candidateIndices(search_key.valueWords(),
-                                 search_key.careWords(),
-                                 search_key.bits(), out);
 }
 
 unsigned
@@ -767,10 +755,8 @@ CaRamSlice::searchRows(const MatchProcessor::PackedKey &packed,
                        const uint64_t *homes, unsigned n)
 {
     SearchResult best;
-    for (unsigned i = 0; i < n; ++i) {
-        if (searchChain(homes[i], packed, best, nullptr))
-            break; // non-LPM first hit within this shard
-    }
+    DirectRows rows(*this, packed.key, prefilterActive());
+    walkChain({homes, n}, packed, best, rows);
     return best;
 }
 
@@ -778,29 +764,16 @@ SearchResult
 CaRamSlice::mergeShardResults(const SearchResult *shards, unsigned n,
                               bool lpm)
 {
+    // Shards in home order replay the serial walk: exact mode stops at
+    // the first hitting shard -- its bucketsAccessed already ends at the
+    // hit row, and later shards' walks are speculative work the serial
+    // cost never pays -- while LPM sums every shard.
     SearchResult merged;
     unsigned accesses = 0;
     for (unsigned i = 0; i < n; ++i) {
-        const SearchResult &s = shards[i];
-        accesses += s.bucketsAccessed;
-        if (!lpm) {
-            // Serial early exit: the first hitting shard is where the
-            // serial chain would have stopped -- its bucketsAccessed
-            // already ends at the hit row, and later shards' walks are
-            // speculative work the serial cost never pays.
-            if (s.hit) {
-                merged = s;
-                merged.bucketsAccessed = accesses;
-                return merged;
-            }
-            continue;
-        }
-        // LPM walks everything; first-max-wins across shards in home
-        // order, matching searchChain()'s strictly-greater rule.
-        if (s.hit && (!merged.hit ||
-                      s.key.carePopcount() > merged.key.carePopcount())) {
-            merged = s;
-        }
+        accesses += shards[i].bucketsAccessed;
+        if (offer(merged, shards[i], lpm))
+            break;
     }
     merged.bucketsAccessed = accesses;
     return merged;
@@ -864,150 +837,103 @@ CaRamSlice::snapshotRowConcurrent(uint64_t row, uint64_t *dst) const
     }
 }
 
-bool
-CaRamSlice::prefilterMayMatchConcurrent(uint64_t row, uint64_t sig,
-                                        bool sig_usable) const
+/**
+ * Row source for searchConcurrent(): every row is copied through a
+ * seqlock-validated snapshot into the caller's one-row buffer, and the
+ * matcher runs over that private copy.  One snapshot of the home row
+ * serves both its reach and its d == 0 match, so the home row's
+ * observation is internally consistent (the direct source reads the
+ * row twice; between-mutation states are indistinguishable
+ * row-locally).  Filter verdicts are trusted only when the row's stripe
+ * was quiescent across the read -- every filter write happens inside a
+ * writer section -- and otherwise the row is fetched, so the error
+ * stays one-sided (DESIGN.md section 4e).
+ */
+struct CaRamSlice::SnapshotRows : FilterConsult
 {
-    // Same validation shape as snapshotRowConcurrent(), but a failed
-    // validation declines to prune instead of retrying: every filter
-    // write happens inside the row's writer section, so a quiescent
-    // stripe across the read means the words form a published filter
-    // state, whose verdict is sound (one-sided error, DESIGN.md 4e).
-    const std::atomic<uint64_t> &seq = rowSeqs_[row & seqMask_].v;
-    const uint64_t s1 = seq.load(std::memory_order_acquire);
-    if (s1 & 1)
-        return true; // writer mid-row
-    const bool may = filter_.mayMatch(row, sig, sig_usable);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t s2 = seq.load(std::memory_order_relaxed);
-    return s1 != s2 || may;
-}
+    SnapshotRows(const CaRamSlice &slice, const Key &key, bool filtered,
+                 mem::MemoryArray &buffer)
+        : FilterConsult(key, filtered), s(slice),
+          dst(buffer.rowData(0)), view(buffer, slice.cfg, 0)
+    {
+    }
 
-bool
-CaRamSlice::prefilterConsultHomeConcurrent(uint64_t home, uint64_t sig,
-                                           bool sig_usable,
-                                           unsigned &reach_out,
-                                           bool &valid) const
-{
-    const std::atomic<uint64_t> &seq = rowSeqs_[home & seqMask_].v;
-    const uint64_t s1 = seq.load(std::memory_order_acquire);
-    valid = false;
-    if (s1 & 1)
-        return true;
-    const bool may =
-        filter_.consultHome(home, sig, sig_usable, reach_out);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t s2 = seq.load(std::memory_order_relaxed);
-    if (s1 != s2)
-        return true;
-    valid = true;
-    return may;
-}
+    /** Run @p read under @p row's stripe; true when no writer touched
+     *  the stripe across it.  Never retries. */
+    template <class Read>
+    bool
+    quiescent(uint64_t row, Read read) const
+    {
+        const std::atomic<uint64_t> &seq = s.rowSeqs_[row & s.seqMask_].v;
+        const uint64_t s1 = seq.load(std::memory_order_acquire);
+        if (s1 & 1)
+            return false; // writer mid-row
+        read();
+        std::atomic_thread_fence(std::memory_order_acquire);
+        return seq.load(std::memory_order_relaxed) == s1;
+    }
+
+    unsigned
+    open(uint64_t home, bool &home_may)
+    {
+        if (filtered) {
+            // A validated consult that proves the home row empty skips
+            // its snapshot and walks on with the mirrored reach (which
+            // only ever grows outside whole-array rewrites, and those
+            // hold every stripe odd -- the consult declines).
+            bool may = true;
+            unsigned reach = 0;
+            if (quiescent(home, [&] {
+                    may = s.filter_.consultHome(home, sig, sigUsable,
+                                                reach);
+                }) && !may) {
+                home_may = false;
+                return reach;
+            }
+        }
+        s.snapshotRowConcurrent(home, dst);
+        return view.reach();
+    }
+
+    bool
+    mayMatch(uint64_t row) const
+    {
+        bool may = true;
+        return !quiescent(row,
+                          [&] {
+                              may = s.filter_.mayMatch(row, sig,
+                                                       sigUsable);
+                          }) ||
+               may;
+    }
+
+    BucketView
+    fetch(uint64_t row, unsigned d)
+    {
+        if (d > 0) // the home row's snapshot was taken by open()
+            s.snapshotRowConcurrent(row, dst);
+        return view;
+    }
+
+    const CaRamSlice &s;
+    uint64_t *const dst;
+    const BucketView view;
+};
 
 SearchResult
 CaRamSlice::searchConcurrent(const Key &search_key,
                              ConcurrentSearchScratch &scratch) const
 {
-    if (search_key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
+    candidateHomes(search_key, scratch.homes);
     if (!scratch.row || scratch.rowBits != cfg.storageRowBits()) {
         scratch.row =
             std::make_unique<mem::MemoryArray>(1, cfg.storageRowBits());
         scratch.rowBits = cfg.storageRowBits();
     }
     matcher.pack(search_key, scratch.packed);
-    candidateHomes(search_key, scratch.homes);
-
-    // Every row the chain touches is matched against the validated
-    // snapshot in scratch.row, so the existing matcher and aux-decode
-    // paths run unchanged over row 0 of the private one-row array.
-    uint64_t *dst = scratch.row->rowData(0);
-    BucketView sb(*scratch.row, cfg, 0);
-    const bool pf = prefilterActive();
-    uint64_t sig = 0;
-    bool sig_usable = false;
-    if (pf) {
-        sig = RowPrefilter::signatureOf(search_key);
-        sig_usable = search_key.fullySpecified();
-    }
     SearchResult best;
-    for (uint64_t home : scratch.homes) {
-        // A validated home consult that fails skips the home row's
-        // snapshot and walks the rest of the chain with the mirrored
-        // reach (which only ever grows outside whole-array rewrites,
-        // and those hold every stripe odd -- the consult declines).
-        // Any failed validation falls back to the snapshot path.
-        unsigned reach;
-        bool home_skipped = false;
-        bool consulted = false;
-        if (pf) {
-            bool valid = false;
-            prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
-            const bool may = prefilterConsultHomeConcurrent(
-                home, sig, sig_usable, reach, valid);
-            if (valid && !may) {
-                prefilterSkips_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                home_skipped = true;
-                consulted = true;
-            }
-        }
-        if (!consulted) {
-            // One snapshot serves both the reach read and the d == 0
-            // match, so the home row's observation is internally
-            // consistent (the serial path reads the row twice;
-            // between-mutation states are indistinguishable
-            // row-locally).
-            snapshotRowConcurrent(home, dst);
-            reach = sb.reach();
-        }
-        bool early_exit = false;
-        for (unsigned d = 0; d <= reach; ++d) {
-            if (d == 0 && home_skipped)
-                continue;
-            if (d > 0) {
-                const uint64_t row = probeRow(home, d, search_key);
-                if (pf) {
-                    prefilterProbes_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (!prefilterMayMatchConcurrent(row, sig,
-                                                     sig_usable)) {
-                        prefilterSkips_.fetch_add(
-                            1, std::memory_order_relaxed);
-                        continue;
-                    }
-                }
-                snapshotRowConcurrent(row, dst);
-            }
-            ++best.bucketsAccessed;
-            const BucketMatch m = cfg.lpm
-                ? matcher.searchBucketBestPacked(sb, scratch.packed)
-                : matcher.searchBucketPacked(sb, scratch.packed);
-            if (!m.hit)
-                continue;
-            if (!cfg.lpm) {
-                best.hit = true;
-                best.multipleMatch = m.multipleMatch;
-                best.row = probeRow(home, d, search_key);
-                best.slot = m.slot;
-                best.data = m.data;
-                best.key = m.key;
-                early_exit = true;
-                break;
-            }
-            const unsigned pop = m.key.carePopcount();
-            if (!best.hit || pop > best.key.carePopcount()) {
-                best.hit = true;
-                best.multipleMatch = m.multipleMatch;
-                best.row = probeRow(home, d, search_key);
-                best.slot = m.slot;
-                best.data = m.data;
-                best.key = m.key;
-            }
-        }
-        if (early_exit)
-            break;
-    }
+    SnapshotRows rows(*this, search_key, prefilterActive(), *scratch.row);
+    walkChain(scratch.homes, scratch.packed, best, rows);
     return best;
 }
 
@@ -1022,92 +948,45 @@ CaRamSlice::searchGroupChain(uint64_t home, unsigned reach,
         ptrs[k] = &sc.packed[idx[k]];
     matcher.packGroup(ptrs, group_size, sc.group);
 
-    // Pre-filter each live lane against the shared row: a lane that
-    // fails is exactly the key a serial filtered searchChain() would
-    // have skipped the row for (no bucketsAccessed charge, no match
-    // attempt), and the row is fetched only when at least one lane
-    // still needs it -- whole groups skip guaranteed-miss rows.
-    auto passMask = [&](uint64_t row, uint32_t lanes) -> uint32_t {
-        if (!pf)
-            return lanes;
-        uint32_t pass = lanes;
-        for (uint32_t m = lanes; m; m &= m - 1) {
-            const unsigned k =
-                static_cast<unsigned>(std::countr_zero(m));
+    // Exact-mode keys leave the group on their first hit, exactly where
+    // the serial walk stops counting accesses for them; offer() never
+    // ends an LPM walk, so LPM keys walk the whole chain.
+    uint64_t fetches = 0;
+    uint32_t alive = sc.group.keyMask;
+    for (unsigned d = 0; d <= reach && alive; ++d) {
+        // The probe row is key-independent on this path (d == 0, or
+        // Linear probing) -- any group member's key works.
+        const uint64_t row = probeRow(home, d, ptrs[0]->key);
+        // Pre-filter each live lane against the shared row: a lane that
+        // fails is exactly a key the serial filtered walk skips the row
+        // for (no bucketsAccessed charge, no match attempt), and the row
+        // is fetched only when at least one lane still needs it --
+        // whole groups skip guaranteed-miss rows.
+        uint32_t pass = alive;
+        for (uint32_t m = pf ? alive : 0; m; m &= m - 1) {
+            const unsigned k = static_cast<unsigned>(std::countr_zero(m));
             prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
             if (!filter_.mayMatch(row, sc.sig[idx[k]],
                                   sc.sigUsable[idx[k]] != 0)) {
-                prefilterSkips_.fetch_add(1,
-                                          std::memory_order_relaxed);
+                prefilterSkips_.fetch_add(1, std::memory_order_relaxed);
                 pass &= ~(1u << k);
             }
         }
-        return pass;
-    };
-
-    uint64_t fetches = 0;
-    if (!cfg.lpm) {
-        // Keys leave the group on their first hit, exactly where the
-        // serial chain walk would stop counting accesses for them.
-        uint32_t alive = sc.group.keyMask;
-        for (unsigned d = 0; d <= reach && alive; ++d) {
-            // The probe row is key-independent on this path (d == 0, or
-            // Linear probing) -- any group member's key works.
-            const uint64_t row = probeRow(home, d, ptrs[0]->key);
-            const uint32_t pass = passMask(row, alive);
-            if (!pass)
-                continue;
-            ++fetches;
-            for (uint32_t m = pass; m; m &= m - 1)
-                ++out[idx[std::countr_zero(m)]].bucketsAccessed;
-            matcher.searchBucketKeys(bucket(row), sc.group, pass,
-                                     sc.groupOut.data());
-            for (uint32_t m = pass; m; m &= m - 1) {
-                const unsigned k =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const BucketMatch &bm = sc.groupOut[k];
-                if (!bm.hit)
-                    continue;
-                SearchResult &r = out[idx[k]];
-                r.hit = true;
-                r.multipleMatch = bm.multipleMatch;
-                r.row = row;
-                r.slot = bm.slot;
-                r.data = bm.data;
-                r.key = bm.key;
-                alive &= ~(1u << k);
-            }
-        }
-    } else {
-        // LPM: every key walks the whole chain, keeping its best match
-        // by specified-bit count (same merge as searchChain).
-        for (unsigned d = 0; d <= reach; ++d) {
-            const uint64_t row = probeRow(home, d, ptrs[0]->key);
-            const uint32_t pass = passMask(row, sc.group.keyMask);
-            if (!pass)
-                continue;
-            ++fetches;
-            for (uint32_t m = pass; m; m &= m - 1)
-                ++out[idx[std::countr_zero(m)]].bucketsAccessed;
+        if (!pass)
+            continue;
+        ++fetches;
+        if (cfg.lpm)
             matcher.searchBucketBestKeys(bucket(row), sc.group, pass,
                                          sc.groupOut.data());
-            for (uint32_t m = pass; m; m &= m - 1) {
-                const unsigned k =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const BucketMatch &bm = sc.groupOut[k];
-                if (!bm.hit)
-                    continue;
-                SearchResult &r = out[idx[k]];
-                const unsigned pop = bm.key.carePopcount();
-                if (!r.hit || pop > r.key.carePopcount()) {
-                    r.hit = true;
-                    r.multipleMatch = bm.multipleMatch;
-                    r.row = row;
-                    r.slot = bm.slot;
-                    r.data = bm.data;
-                    r.key = bm.key;
-                }
-            }
+        else
+            matcher.searchBucketKeys(bucket(row), sc.group, pass,
+                                     sc.groupOut.data());
+        for (uint32_t m = pass; m; m &= m - 1) {
+            const unsigned k = static_cast<unsigned>(std::countr_zero(m));
+            SearchResult &r = out[idx[k]];
+            ++r.bucketsAccessed;
+            if (offer(r, sc.groupOut[k], row, cfg.lpm))
+                alive &= ~(1u << k);
         }
     }
     return fetches;
@@ -1150,10 +1029,8 @@ CaRamSlice::searchBatchChunk(const Key *const *keys, unsigned n,
         }
         // Don't-care bits in hash positions: the key must access every
         // candidate bucket -- serial walk, identical to search().
-        for (uint64_t home : homes) {
-            if (searchChain(home, sc.packed[i], out[i], nullptr))
-                break;
-        }
+        DirectRows rows(*this, *keys[i], pf);
+        walkChain(homes, sc.packed[i], out[i], rows);
         fetches += out[i].bucketsAccessed;
         accessCount += out[i].bucketsAccessed;
     }
@@ -1196,7 +1073,8 @@ CaRamSlice::searchBatchChunk(const Key *const *keys, unsigned n,
         if (!shareable || end - pos == 1) {
             for (unsigned j = pos; j < end; ++j) {
                 const unsigned i = sc.order[j];
-                searchChain(home, sc.packed[i], out[i], nullptr);
+                DirectRows rows(*this, *keys[i], pf);
+                walkChain({&home, 1}, sc.packed[i], out[i], rows);
                 fetches += out[i].bucketsAccessed;
                 accessCount += out[i].bucketsAccessed;
             }

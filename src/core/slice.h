@@ -145,19 +145,20 @@ class CaRamSlice
      * including in hash positions -- then multiple buckets are
      * accessed).  Honors the configuration's probing policy, the home
      * buckets' overflow reach and LPM mode.
+     *
+     * Every lookup path of the slice runs the same chain walk over one
+     * of two row sources: this one reads the live array (see
+     * searchConcurrent() for the other).  When @p rows_accessed is
+     * given, every row the walk fetches is appended to it in probe
+     * order -- exactly bucketsAccessed rows; the timing engine uses
+     * this to route accesses to banks.
      */
-    SearchResult search(const Key &search_key);
+    SearchResult search(const Key &search_key,
+                        std::vector<uint64_t> *rows_accessed = nullptr);
 
     /** Remove every stored copy whose stored key equals @p key exactly.
      *  Returns the number of copies removed. */
     unsigned erase(const Key &key);
-
-    /**
-     * search() variant that also reports the rows accessed, in order --
-     * the timing engine uses this to route accesses to banks.
-     */
-    SearchResult searchTraced(const Key &search_key,
-                              std::vector<uint64_t> &rows_accessed);
 
     /// @name Shard-scoped search (intra-lookup row fan-out)
     /// @{
@@ -171,25 +172,26 @@ class CaRamSlice
                        MatchProcessor::PackedKey &out) const;
 
     /**
-     * Candidate home buckets of @p search_key into @p out -- the
-     * caller-scratch variant of homeRows().  @p out is cleared and
-     * refilled; it retains capacity across calls, so a pre-sized vector
-     * makes this allocation-free.  Order matches homeRowsInto(), which
-     * is the order the serial search visits homes in.
+     * Candidate home buckets of @p search_key into @p out, in the order
+     * search() visits them -- the slice's one home enumeration
+     * (homeRows() and every search path go through it).  @p out is
+     * cleared and refilled; it retains capacity across calls, so a
+     * pre-sized vector makes this allocation-free.
      */
     void candidateHomes(const Key &search_key,
                         std::vector<uint64_t> &out) const;
 
     /**
      * Search a subset of candidate home chains -- the shard entry point
-     * of the intra-lookup row fan-out.  Walks @p homes[0..n) through
-     * the same chain logic search() uses (probing, overflow reach, LPM
-     * best-so-far, first-hit early exit in exact mode) but touches *no*
-     * per-slice scratch and *no* search counters: the packed key and
-     * the result are caller-owned, so concurrent searchRows() calls on
-     * one slice are safe against each other (they only read the memory
-     * array) as long as no mutation and no scratch-using entry point
-     * (search/searchBatch/erase/...) runs concurrently.
+     * of the intra-lookup row fan-out.  Runs search()'s chain walk, over
+     * the same live-array row source, on @p homes[0..n) (probing,
+     * overflow reach, pre-filter, LPM best-so-far, first-hit early exit
+     * in exact mode) but touches *no* per-slice scratch and *no* search
+     * counters: the packed key and the result are caller-owned, so
+     * concurrent searchRows() calls on one slice are safe against each
+     * other (they only read the memory array) as long as no mutation
+     * and no scratch-using entry point (search/searchBatch/erase/...)
+     * runs concurrently.
      *
      * The returned bucketsAccessed counts only the rows this shard
      * walked.  Recombine shards with mergeShardResults() and account
@@ -210,7 +212,7 @@ class CaRamSlice
      * shard and take its match (later shards' speculative work is
      * discarded).  LPM mode sums every shard's accesses and keeps the
      * first shard-best with the strictly longest care popcount -- the
-     * same first-max-wins rule searchChain() applies per bucket.
+     * same offer() rule the chain walk applies per bucket.
      */
     static SearchResult mergeShardResults(const SearchResult *shards,
                                           unsigned n, bool lpm);
@@ -249,7 +251,8 @@ class CaRamSlice
 
     /**
      * Lookup that is safe against concurrent mutations on *other*
-     * threads: every row is copied through a per-row sequence-lock
+     * threads.  It runs search()'s chain walk over the second row
+     * source: every row is copied through a per-row sequence-lock
      * validated snapshot (writers bump the row's sequence odd/even
      * around their stores; a reader that observes an odd or changed
      * sequence retries the row), and the match processors then run over
@@ -259,9 +262,12 @@ class CaRamSlice
      * Semantics match search() exactly for any interleaving in which
      * each observed row is in a before-or-after-mutation state: a probe
      * chain reads the home row once (reach and slots from the same
-     * snapshot), so every row-level observation is consistent.  Unlike
-     * search(), this path touches *no* per-slice scratch and *no*
-     * search counters (it is const) -- accounting belongs to the
+     * snapshot), so every row-level observation is consistent.  With
+     * the pre-filter consulted, a home row is skipped only on a
+     * validated consult (its stripe quiescent across the read) that
+     * proves it empty; the chain then walks on with the mirrored reach.
+     * Unlike search(), this path touches *no* per-slice scratch and
+     * *no* search counters (it is const) -- accounting belongs to the
      * caller, as with searchRows().
      */
     SearchResult searchConcurrent(const Key &search_key,
@@ -583,10 +589,26 @@ class CaRamSlice
      */
     const std::vector<uint64_t> &homeRowsInto(const Key &key);
 
-    /** Search one home bucket chain with the packed search key;
-     *  updates @p best under LPM. */
-    bool searchChain(uint64_t home, const MatchProcessor::PackedKey &packed,
-                     SearchResult &best, std::vector<uint64_t> *trace);
+    /// Row sources of walkChain(): DirectRows reads the live array (the
+    /// single-owner paths, optionally recording the rows fetched);
+    /// SnapshotRows copies each row through a seqlock-validated
+    /// snapshot (searchConcurrent()).
+    struct FilterConsult;
+    struct DirectRows;
+    struct SnapshotRows;
+
+    /**
+     * The chain walk every lookup path runs.  Walks the probe chain of
+     * each of @p homes in order, up to the reach @p rows reports for
+     * it, skips rows the pre-filter rules out (before the fetch and the
+     * bucketsAccessed charge), matches every fetched row against
+     * @p packed and folds the match into @p best with offer() -- an
+     * exact-mode hit ends the walk.
+     */
+    template <class Rows>
+    void walkChain(std::span<const uint64_t> homes,
+                   const MatchProcessor::PackedKey &packed,
+                   SearchResult &best, Rows &rows) const;
 
     /** One chunk (n <= kMaxBatch) of searchBatch(); returns fetches. */
     uint64_t searchBatchChunk(const Key *const *keys, unsigned n,
@@ -672,25 +694,6 @@ class CaRamSlice
         return prefilterEnabled_.load(std::memory_order_relaxed) &&
                !filter_.suspended();
     }
-
-    /**
-     * Filter consult for concurrent readers: the verdict is trusted
-     * only when @p row's seqlock stripe was quiescent across the read
-     * (every filter write happens inside a writer section, so a
-     * validated read observes a published filter state).  Returns true
-     * -- fetch the row -- whenever validation fails; the error stays
-     * one-sided (see DESIGN.md section 4e).
-     */
-    bool prefilterMayMatchConcurrent(uint64_t row, uint64_t sig,
-                                     bool sig_usable) const;
-
-    /** Validated home consult: mayMatch plus the mirrored reach.  When
-     *  validation fails, returns false with @p valid cleared -- the
-     *  caller snapshots the home row and reads its reach instead. */
-    bool prefilterConsultHomeConcurrent(uint64_t home, uint64_t sig,
-                                        bool sig_usable,
-                                        unsigned &reach_out,
-                                        bool &valid) const;
 
     SliceConfig cfg;
     std::unique_ptr<hash::IndexGenerator> idxGen;

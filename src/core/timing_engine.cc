@@ -48,7 +48,7 @@ TimingEngine::run(std::span<const Key> keys)
         controller_free = issue + period;
 
         rows.clear();
-        db_->slice().searchTraced(key, rows);
+        db_->slice().search(key, &rows);
         if (rows.empty())
             rows.push_back(db_->slice().homeRow(key)); // safety net
 

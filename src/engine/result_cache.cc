@@ -70,6 +70,39 @@ loadWord(uint64_t &word)
     return std::atomic_ref<uint64_t>(word).load(std::memory_order_relaxed);
 }
 
+/**
+ * True when the search key stored in a payload equals @p key, word for
+ * word; @p stored(i) reads payload word i.  The caller has already
+ * matched the width word, so only the key's own wordsFor(width) words
+ * can differ -- the rest of every entry of that width is zero.
+ */
+template <class Stored>
+bool
+sameSearchKey(const Key &key, Stored stored)
+{
+    const std::span<const uint64_t> value = key.valueWords();
+    const std::span<const uint64_t> care = key.careWords();
+    for (std::size_t w = 0; w < value.size(); ++w) {
+        if (stored(kSearchValue0 + w) != value[w] ||
+            stored(kSearchCare0 + w) != care[w])
+            return false;
+    }
+    return true;
+}
+
+/** Store @p key's value and care words at @p value0 / @p care0,
+ *  zero-filling past the key's wordsFor(width) words. */
+void
+storeKey(uint64_t *words, unsigned value0, unsigned care0, const Key &key)
+{
+    const std::span<const uint64_t> value = key.valueWords();
+    const std::span<const uint64_t> care = key.careWords();
+    for (std::size_t w = 0; w < Key::kWords; ++w) {
+        storeWord(words[value0 + w], w < value.size() ? value[w] : 0);
+        storeWord(words[care0 + w], w < care.size() ? care[w] : 0);
+    }
+}
+
 } // namespace
 
 ResultCache::ResultCache(std::size_t entries, unsigned ways,
@@ -166,8 +199,6 @@ ResultCache::probe(unsigned port, const Key &key, core::SearchResult &out)
     if (port >= nports_)
         fatal("result cache probe for unknown port");
     Entry *set = setFor(port, key);
-    const std::span<const uint64_t> value = key.valueWords();
-    const std::span<const uint64_t> care = key.careWords();
     const uint64_t want_meta =
         uint64_t{key.bits()} | (uint64_t{port} << 32);
 
@@ -189,17 +220,8 @@ ResultCache::probe(unsigned port, const Key &key, core::SearchResult &out)
             continue;
 
         // Exact key match: width, port, every value and care word.
-        if (words[kSearchMeta] != want_meta)
-            continue;
-        bool match = true;
-        for (unsigned w = 0; w < Key::kWords; ++w) {
-            if (words[kSearchValue0 + w] != value[w] ||
-                words[kSearchCare0 + w] != care[w]) {
-                match = false;
-                break;
-            }
-        }
-        if (!match)
+        if (words[kSearchMeta] != want_meta ||
+            !sameSearchKey(key, [&](std::size_t i) { return words[i]; }))
             continue;
 
         // Generation check: recompute the stamp sum over the entry's
@@ -232,8 +254,6 @@ ResultCache::fill(unsigned port, const Key &key,
     if (port >= nports_)
         fatal("result cache fill for unknown port");
     Entry *set = setFor(port, key);
-    const std::span<const uint64_t> value = key.valueWords();
-    const std::span<const uint64_t> care = key.careWords();
     const uint64_t want_meta =
         uint64_t{key.bits()} | (uint64_t{port} << 32);
 
@@ -245,19 +265,12 @@ ResultCache::fill(unsigned port, const Key &key,
     unsigned stale = kMaxWays;
     for (unsigned way = 0; way < ways_; ++way) {
         Entry &e = set[way];
-        if (loadWord(e.words[kSearchMeta]) == want_meta) {
-            bool match = true;
-            for (unsigned w = 0; w < Key::kWords; ++w) {
-                if (loadWord(e.words[kSearchValue0 + w]) != value[w] ||
-                    loadWord(e.words[kSearchCare0 + w]) != care[w]) {
-                    match = false;
-                    break;
-                }
-            }
-            if (match) {
-                victim = way;
-                break;
-            }
+        if (loadWord(e.words[kSearchMeta]) == want_meta &&
+            sameSearchKey(key, [&](std::size_t i) {
+                return loadWord(e.words[i]);
+            })) {
+            victim = way;
+            break;
         }
         if (stale == kMaxWays &&
             loadWord(e.words[kStamp]) !=
@@ -286,17 +299,9 @@ ResultCache::fill(unsigned port, const Key &key,
         return;
     std::atomic_thread_fence(std::memory_order_release);
 
-    for (unsigned w = 0; w < Key::kWords; ++w) {
-        storeWord(e.words[kSearchValue0 + w], value[w]);
-        storeWord(e.words[kSearchCare0 + w], care[w]);
-    }
+    storeKey(e.words, kSearchValue0, kSearchCare0, key);
     storeWord(e.words[kSearchMeta], want_meta);
-    const std::span<const uint64_t> mvalue = result.key.valueWords();
-    const std::span<const uint64_t> mcare = result.key.careWords();
-    for (unsigned w = 0; w < Key::kWords; ++w) {
-        storeWord(e.words[kMatchValue0 + w], mvalue[w]);
-        storeWord(e.words[kMatchCare0 + w], mcare[w]);
-    }
+    storeKey(e.words, kMatchValue0, kMatchCare0, result.key);
     storeWord(e.words[kMatchMeta],
               uint64_t{result.key.bits()} |
                   (uint64_t{result.hit ? 1u : 0u} << 32));

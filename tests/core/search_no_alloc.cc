@@ -6,8 +6,8 @@
  * The word-parallel match path packs the search key into per-slice
  * scratch (MatchProcessor::PackedKey), gathers candidate home rows into
  * a reused scratch vector, and compares raw row words in place -- so
- * after a warm-up lookup has sized the scratch, search(), searchTraced()
- * (with a reserved trace vector), searchBatch() (which additionally
+ * after a warm-up lookup has sized the scratch, search() (also
+ * with a reserved trace vector), searchBatch() (which additionally
  * groups keys out of the per-slice BatchScratch), countMatching() and
  * the candidate expansion of ternary keys with don't-care hash bits must
  * all be allocation-free.  Counted with a global operator new/delete
@@ -224,7 +224,7 @@ TEST(SearchNoAlloc, TracedSearchWithReservedTrace)
     const uint64_t n = allocationsIn([&] {
         for (int i = 0; i < 1000; ++i) {
             trace.clear();
-            f.slice->searchTraced(f.keys[i % f.keys.size()], trace);
+            f.slice->search(f.keys[i % f.keys.size()], &trace);
         }
     });
     EXPECT_EQ(n, 0u);

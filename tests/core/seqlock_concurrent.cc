@@ -8,7 +8,11 @@
  *  - single-threaded differentials pin searchConcurrent() bit-identical
  *    to search() across binary, ternary multi-home and LPM key spaces,
  *    with and without forced torn-read injection (every validated
- *    snapshot retried at least once);
+ *    snapshot retried at least once), under Linear and SecondHash
+ *    probing, with the pre-filter off and on.  The same stream also
+ *    pins every other lookup entry point to search(): a traced search
+ *    (exactly bucketsAccessed rows, in probe order), searchRows() over
+ *    3-home shards merged by mergeShardResults(), and searchBatch();
  *  - racing streams run real reader threads against a mutating writer
  *    -- insert/erase churn over volatile keys, bucket-sharing erase
  *    holes, rebuildSwap() table swaps -- and assert the one invariant
@@ -19,8 +23,10 @@
  *    reader holds the retired slice; releasing it frees the table).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <span>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,12 +45,14 @@ namespace {
 
 struct Variant
 {
-    const char *name;
+    std::string name;
     unsigned keyBits;
     unsigned indexBits;
     bool ternary;
     bool lpm;
     std::vector<unsigned> taps;
+    ProbePolicy probe = ProbePolicy::Linear;
+    bool prefilter = false;
 };
 
 Variant
@@ -67,6 +75,18 @@ lpmVariant()
                    true,  true, {0, 1, 2, 3, 4, 5, 6, 7}};
 }
 
+/** @p v under SecondHash probing: rows past the home bucket depend on
+ *  the key, so every row source must take them from the searched key
+ *  and no chain past the home row may be shared by a group. */
+Variant
+secondHash(Variant v, bool prefilter)
+{
+    v.name += prefilter ? "-secondhash-prefilter" : "-secondhash";
+    v.probe = ProbePolicy::SecondHash;
+    v.prefilter = prefilter;
+    return v;
+}
+
 std::unique_ptr<Database>
 buildDatabase(const Variant &v, const std::string &name)
 {
@@ -79,6 +99,7 @@ buildDatabase(const Variant &v, const std::string &name)
     cfg.sliceShape.slotsPerBucket = 4;
     cfg.sliceShape.dataBits = 16;
     cfg.sliceShape.maxProbeDistance = 8;
+    cfg.sliceShape.probe = v.probe;
     cfg.overflow = OverflowPolicy::Probing;
     const std::vector<unsigned> taps = v.taps;
     cfg.indexFactory = [taps](const SliceConfig &eff)
@@ -88,7 +109,9 @@ buildDatabase(const Variant &v, const std::string &name)
         return std::make_unique<hash::BitSelectIndex>(
             eff.logicalKeyBits, std::move(use));
     };
-    return std::make_unique<Database>(std::move(cfg));
+    auto db = std::make_unique<Database>(std::move(cfg));
+    db->slice().setPrefilterEnabled(v.prefilter);
+    return db;
 }
 
 Key
@@ -122,6 +145,97 @@ expectSameResult(const SearchResult &subject, const SearchResult &oracle,
     EXPECT_EQ(subject.data, oracle.data) << ctx;
     EXPECT_EQ(subject.key, oracle.key) << ctx << " key "
                                        << key.toString();
+}
+
+/**
+ * Every row the unfiltered walk of @p k visits, in order: each
+ * candidate home's chain out to its reach.  Spelled out from the probe
+ * policies' definitions (linear: home + d; SecondHash: an odd stride
+ * from an xor-fold of the key's value words) rather than through the
+ * slice, so it checks the walk instead of repeating it.
+ */
+std::vector<uint64_t>
+probeSequence(CaRamSlice &slice, const Variant &v, const Key &k)
+{
+    const uint64_t rows = uint64_t{1} << v.indexBits;
+    uint64_t h = 0;
+    for (const uint64_t w : k.valueWords())
+        h ^= w;
+    h ^= h >> v.indexBits;
+    const uint64_t step =
+        v.probe == ProbePolicy::SecondHash ? (h & (rows - 1)) | 1 : 1;
+    std::vector<uint64_t> homes;
+    slice.candidateHomes(k, homes);
+    std::vector<uint64_t> seq;
+    for (const uint64_t home : homes) {
+        const unsigned reach = slice.bucket(home).reach();
+        for (unsigned d = 0; d <= reach; ++d)
+            seq.push_back((home + d * step) & (rows - 1));
+    }
+    return seq;
+}
+
+/**
+ * The other lookup entry points must answer @p k exactly as the serial
+ * search did (@p want): a traced search, searchRows() over 3-home
+ * shards merged back with mergeShardResults(), and searchBatch() with
+ * @p k twice (a same-home group) among @p others.
+ */
+void
+expectEntryPointsAgree(CaRamSlice &slice, const Variant &v, const Key &k,
+                       const SearchResult &want,
+                       const std::vector<Key> &others)
+{
+    std::vector<uint64_t> trace;
+    expectSameResult(slice.search(k, &trace), want, k, "traced-vs-serial");
+    // The trace holds exactly the charged rows, in probe order: the
+    // unfiltered walk's prefix up to an exact-mode hit (all of it on a
+    // miss or under LPM); with the filter, a subsequence of it.
+    ASSERT_EQ(trace.size(), want.bucketsAccessed) << k.toString();
+    const std::vector<uint64_t> seq = probeSequence(slice, v, k);
+    if (v.prefilter) {
+        auto it = seq.begin();
+        for (const uint64_t row : trace) {
+            it = std::find(it, seq.end(), row);
+            ASSERT_NE(it, seq.end()) << "row " << row << " out of order";
+            ++it;
+        }
+    } else {
+        const bool whole = !want.hit || v.lpm;
+        ASSERT_LE(trace.size(), seq.size());
+        EXPECT_TRUE(std::equal(trace.begin(), trace.end(), seq.begin()))
+            << k.toString();
+        if (whole) {
+            EXPECT_EQ(trace.size(), seq.size()) << k.toString();
+        }
+    }
+    if (want.hit && !v.lpm) {
+        EXPECT_EQ(trace.back(), want.row);
+    }
+
+    MatchProcessor::PackedKey packed;
+    slice.packSearchKey(k, packed);
+    std::vector<uint64_t> homes;
+    slice.candidateHomes(k, homes);
+    std::vector<SearchResult> shards;
+    for (std::size_t i = 0; i < homes.size(); i += 3) {
+        const auto n = static_cast<unsigned>(
+            std::min<std::size_t>(3, homes.size() - i));
+        shards.push_back(slice.searchRows(packed, homes.data() + i, n));
+    }
+    expectSameResult(
+        CaRamSlice::mergeShardResults(
+            shards.data(), static_cast<unsigned>(shards.size()), v.lpm),
+        want, k, "shards-vs-serial");
+
+    std::vector<Key> batch = {k};
+    batch.insert(batch.end(), others.begin(), others.end());
+    batch.push_back(k);
+    std::vector<SearchResult> out(batch.size());
+    slice.searchBatch(std::span<const Key>(batch), out.data());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        expectSameResult(out[i], slice.search(batch[i]), batch[i],
+                         "batch-vs-serial");
 }
 
 /**
@@ -181,9 +295,18 @@ runDifferential(const Variant &v, uint64_t seed, int ops,
                     k.setBitAt(p, false, false);
             }
             const SearchResult want = db->search(k);
-            const sim::EpochDomain::Guard guard(domain);
-            const SearchResult got = db->searchConcurrent(k, scratch);
-            expectSameResult(got, want, k, "concurrent-vs-serial");
+            {
+                const sim::EpochDomain::Guard guard(domain);
+                const SearchResult got = db->searchConcurrent(k, scratch);
+                expectSameResult(got, want, k, "concurrent-vs-serial");
+            }
+            std::vector<Key> others;
+            for (int i = 0; i < 6; ++i) {
+                others.push_back(!population.empty() && rng.chance(0.5)
+                    ? population[rng.below(population.size())]
+                    : randomKey(rng, v, 0.9, 0));
+            }
+            expectEntryPointsAgree(db->slice(), v, k, want, others);
         }
         if (::testing::Test::HasFatalFailure())
             return;
@@ -224,6 +347,40 @@ TEST(SeqlockConcurrent, TornReadInjectionTernary)
 TEST(SeqlockConcurrent, TornReadInjectionLpm)
 {
     runDifferential(lpmVariant(), 454545, 1200, 2);
+}
+
+// SecondHash probing on a table that spills: ~3,000 lookups each, with
+// the pre-filter off and on (the filtered walks skip rows per key).
+TEST(SeqlockConcurrent, SecondHashBinaryDifferential)
+{
+    runDifferential(secondHash(binaryVariant(), false), 0x2a5b01, 5400, 0);
+}
+
+TEST(SeqlockConcurrent, SecondHashBinaryPrefilterDifferential)
+{
+    runDifferential(secondHash(binaryVariant(), true), 0x2a5b02, 5400, 0);
+}
+
+TEST(SeqlockConcurrent, SecondHashTernaryDifferential)
+{
+    runDifferential(secondHash(ternaryExactVariant(), false), 0x2a5b03,
+                    5400, 0);
+}
+
+TEST(SeqlockConcurrent, SecondHashTernaryPrefilterDifferential)
+{
+    runDifferential(secondHash(ternaryExactVariant(), true), 0x2a5b04,
+                    5400, 0);
+}
+
+TEST(SeqlockConcurrent, SecondHashLpmDifferential)
+{
+    runDifferential(secondHash(lpmVariant(), false), 0x2a5b05, 5400, 0);
+}
+
+TEST(SeqlockConcurrent, SecondHashLpmPrefilterDifferential)
+{
+    runDifferential(secondHash(lpmVariant(), true), 0x2a5b06, 5400, 0);
 }
 
 /**

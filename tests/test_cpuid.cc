@@ -60,8 +60,9 @@ TEST(Cpuid, WiderKernelsImplyNarrower)
 {
     // The capability lattice is ordered: an AVX-512 host runs the AVX2
     // kernel too, and every host runs scalar.
-    if (kernelAvailable(MatchKernel::Avx512))
+    if (kernelAvailable(MatchKernel::Avx512)) {
         EXPECT_TRUE(kernelAvailable(MatchKernel::Avx2));
+    }
 }
 
 TEST(Cpuid, ActiveKernelAlwaysRunnable)
@@ -77,8 +78,9 @@ TEST(Cpuid, OverrideWinsAndReleases)
     // Forcing an unavailable kernel clamps instead of crashing.
     setMatchKernelOverride(MatchKernel::Avx512);
     EXPECT_TRUE(kernelAvailable(activeMatchKernel()));
-    if (kernelAvailable(MatchKernel::Avx512))
+    if (kernelAvailable(MatchKernel::Avx512)) {
         EXPECT_EQ(activeMatchKernel(), MatchKernel::Avx512);
+    }
     setMatchKernelOverride(std::nullopt);
     EXPECT_EQ(activeMatchKernel(), before);
 }
