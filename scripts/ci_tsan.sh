@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the concurrency layer: builds with
-# -DCARAM_TSAN=ON and runs the concurrent-queue and parallel-engine
-# tests under TSan.  The Engine suite includes the batched multi-key
+# -DCARAM_TSAN=ON and runs the lock-free hand-off ring and doorbell
+# tests (ConcurrentQueue.*, Doorbell.*) and the parallel-engine tests
+# under TSan.  The Engine suite includes the batched multi-key
 # pipeline tests (Engine.Batched*), so worker-side group execution and
 # flush-around-mutation paths are raced too, the bulk-ingest tests
 # (Engine.BatchedIngestMatchesSerial, Engine.BulkLoadMatchesSerial*,
 # Engine.Rebuild*) race worker-side insertBatch runs and port-driven
 # rebuilds, and the intra-lookup fan-out tests (Engine.Fanout*) run
 # the owning worker's inline shard walk beside other workers, the
-# writer lanes and the worker doorbells.  The
+# writer lanes and the worker doorbells, and Engine.LostWakeupStress
+# parks workers and lanes between bursts.  The
 # concurrent-mutation layer rides along: the per-row seqlock
 # differentials (SeqlockConcurrent.*), the epoch-based reclamation
 # domain (Epoch.*), the writer-lane engine differentials
@@ -47,10 +49,10 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DCARAM_TSAN=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target test_concurrent_queue test_engine test_epoch \
+    --target test_mpmc_ring test_engine test_epoch \
     seqlock_concurrent concurrent_mutation_differential \
     result_cache_differential prefilter_differential \
     maintenance_differential
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$BUILD_DIR" \
-    -R 'ConcurrentQueue|Engine|Epoch|SeqlockConcurrent|ConcurrentMutation|ResultCache|Prefilter|Maintenance' \
+    -R 'ConcurrentQueue|Doorbell|Engine|Epoch|SeqlockConcurrent|ConcurrentMutation|ResultCache|Prefilter|Maintenance' \
     --output-on-failure

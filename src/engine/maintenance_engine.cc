@@ -53,8 +53,8 @@ MaintenanceEngine::plannerMain()
 {
     const unsigned nports = static_cast<unsigned>(ports_.size());
     while (!stop_.load(std::memory_order_acquire)) {
-        // A drain() must be able to reach inflight == 0: stop feeding.
-        if (engine_->drainingFg_.load(std::memory_order_acquire)) {
+        // A drain() must be able to reach zero in flight: stop feeding.
+        if (engine_->drainers_.load(std::memory_order_acquire) != 0) {
             sleepUs(100);
             continue;
         }
@@ -63,8 +63,7 @@ MaintenanceEngine::plannerMain()
             sleepUs(20);
             continue;
         }
-        const uint64_t inflight =
-            engine_->inflight.load(std::memory_order_acquire);
+        const uint64_t inflight = engine_->inflightCount();
         if (inflight > kBackoffInflight) {
             backoffs_.fetch_add(1, std::memory_order_relaxed);
             sleepUs(200);

@@ -114,15 +114,25 @@ struct ParallelSearchEngine::PortState
     std::atomic<uint64_t> prefilterSkipsSnap{0};
 };
 
-/** One worker: its request queue and its private modeled clock. */
+/** One worker: its request ring, its doorbell and its private modeled
+ *  clock.  The ring and the doorbell keep their producer-side state on
+ *  their own cache lines, so the counters below (written by this thread
+ *  for every request) never share a line with anything a producer
+ *  writes or reads per request. */
 struct ParallelSearchEngine::Worker
 {
     explicit Worker(std::size_t capacity) : queue(capacity) {}
-    sim::ConcurrentBoundedQueue<Job> queue;
+    sim::MpmcRing<Job> queue;
+    /** Parked here when the ring is empty and no deferred job is ready;
+     *  producers ring after pushing (notifies only a parked thread). */
+    sim::Doorbell bell;
     /** Busy cycles of this worker's modeled input controller.  Atomic
      *  (like the run counters below) because report() sums them while
      *  the run is still in flight. */
     std::atomic<uint64_t> modeledCycles{0};
+    /** Wall-clock end stamp (ns since wallStart) of the last response
+     *  this thread published; report() takes the max over threads. */
+    std::atomic<uint64_t> wallEndNs{0};
     /** Batched-run scratch (sized once, reused across runs). */
     std::vector<const Key *> keyPtrs;
     std::vector<core::SearchResult> batchResults;
@@ -161,10 +171,6 @@ struct ParallelSearchEngine::Worker
     std::atomic<uint64_t> fanoutLookups{0};
     std::atomic<uint64_t> fanoutShards{0};
     std::atomic<uint64_t> fanoutSerialFallbacks{0};
-    /** Doorbell: the worker parks here when its request queue is empty
-     *  and no deferred job is ready; producers ring after pushing. */
-    std::mutex bellMutex;
-    std::condition_variable bell;
 };
 
 ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
@@ -237,6 +243,13 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
         maintenance = false;
     if (maintenance)
         maintenance_ = std::make_unique<MaintenanceEngine>(*this);
+    // Idle workers and lanes spin before parking only when every engine
+    // thread, plus one producer, can have a core to itself: a spinner
+    // on a shared core takes time from a thread that has work.
+    const unsigned threads =
+        1 + cfg.workers + writerLaneCount_ + (maintenance ? 1 : 0);
+    if (threads <= std::thread::hardware_concurrency())
+        idleSpin_ = sim::Doorbell::kSpin;
     for (std::size_t p = 0; p < sys->databaseCount(); ++p)
         ports.push_back(std::make_unique<PortState>());
     refreshAnalyticBounds(); // pre-thread: nothing can be mutating yet
@@ -245,11 +258,11 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
     if (cfg.concurrentMutation) {
         for (unsigned l = 0; l < writerLaneCount_; ++l) {
             writerQueues.push_back(
-                std::make_unique<sim::ConcurrentBoundedQueue<MutationRun>>(
+                std::make_unique<sim::MpmcRing<MutationRun>>(
                     std::max<std::size_t>(16, ports.size())));
-            // Each lane's scratch and counters live in one trailing
-            // Worker (index workerCount + lane, request queue unused)
-            // so report() folds its modeled cycles and ingest
+            // Each lane's scratch, counters and doorbell live in one
+            // trailing Worker (index workerCount + lane, request ring
+            // unused) so report() folds its modeled cycles and ingest
             // accounting in unchanged.
             workers.push_back(std::make_unique<Worker>(1));
         }
@@ -286,7 +299,7 @@ ParallelSearchEngine::start()
 void
 ParallelSearchEngine::finishResponse(
     core::PortResponse resp,
-    std::chrono::steady_clock::time_point enqueued)
+    std::chrono::steady_clock::time_point enqueued, unsigned worker_index)
 {
     PortState &port = *ports[resp.port];
     const bool hit = resp.hit;
@@ -309,28 +322,26 @@ ParallelSearchEngine::finishResponse(
         port.results.push_back(std::move(resp));
     }
 
-    // Push the wall-clock end stamp (monotonic max -- completions from
-    // different threads finish out of order) *before* advancing the
-    // completion counters: report() reads `completed` first, so every
-    // completion it counts has already published its end stamp, and a
-    // mid-run wallMsps can understate but never inflate the
-    // throughput.  The old order paired a fresh completed count with a
-    // stale end stamp.
-    const uint64_t end_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                             wallStart)
-            .count());
-    uint64_t prev = wallEndNs.load(std::memory_order_relaxed);
-    while (prev < end_ns &&
-           !wallEndNs.compare_exchange_weak(prev, end_ns,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed)) {
-    }
+    // Store this thread's wall-clock end stamp *before* advancing the
+    // completion counters: report() reads `completed` first (acquire,
+    // pairing with the release below), so every completion it counts
+    // has already published its end stamp, and a mid-run wallMsps can
+    // understate but never inflate the throughput.  Each executing
+    // thread owns its stamp (one writer, so it only grows); report()
+    // takes the max.
+    workers[worker_index]->wallEndNs.store(
+        static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                now - wallStart)
+                .count()),
+        std::memory_order_relaxed);
     if (hit)
         port.stats.hits.fetch_add(1, std::memory_order_relaxed);
     if (!ok)
         port.stats.errors.fetch_add(1, std::memory_order_relaxed);
-    port.stats.completed.fetch_add(1, std::memory_order_release);
+    // seq_cst: drain()'s predicate (inflightCount) re-checks this
+    // counter after raising drainers_ -- see wakeDrain().
+    port.stats.completed.fetch_add(1, std::memory_order_seq_cst);
 }
 
 bool
@@ -441,7 +452,7 @@ ParallelSearchEngine::executeFanoutSearch(
     resp.data = merged.data;
     resp.key = merged.key;
     resp.bucketsAccessed = merged.bucketsAccessed;
-    finishResponse(std::move(resp), enqueued);
+    finishResponse(std::move(resp), enqueued, worker_index);
 }
 
 bool
@@ -462,7 +473,7 @@ ParallelSearchEngine::probeCache(const core::PortRequest &request,
 void
 ParallelSearchEngine::publishCached(
     const core::PortRequest &request, const core::SearchResult &cached,
-    std::chrono::steady_clock::time_point enqueued)
+    std::chrono::steady_clock::time_point enqueued, unsigned worker_index)
 {
     // Zero modeled cycles: the cached reply activates no rows, so the
     // port's bank is never occupied -- this is the entire throughput
@@ -478,7 +489,7 @@ ParallelSearchEngine::publishCached(
     resp.data = cached.data;
     resp.key = cached.key;
     resp.bucketsAccessed = cached.bucketsAccessed;
-    finishResponse(std::move(resp), enqueued);
+    finishResponse(std::move(resp), enqueued, worker_index);
 }
 
 void
@@ -529,6 +540,7 @@ ParallelSearchEngine::execute(
             workers[worker_index]->modeledCycles.fetch_add(
                 cycles, std::memory_order_relaxed);
         }
+        maintenanceInflight_.fetch_sub(1, std::memory_order_seq_cst);
         return;
     }
     // A user Erase or Rebuild must not observe the transient duplicate
@@ -549,7 +561,8 @@ ParallelSearchEngine::execute(
                 // search *and* the fan-out machinery.
                 core::SearchResult cached;
                 if (probeCache(request, cached)) {
-                    publishCached(request, cached, enqueued);
+                    publishCached(request, cached, enqueued,
+                                  worker_index);
                     return;
                 }
                 if (rowFanoutMin_ > 0 &&
@@ -617,7 +630,7 @@ ParallelSearchEngine::execute(
     workers[worker_index]->modeledCycles.fetch_add(
         cycles, std::memory_order_relaxed);
 
-    finishResponse(std::move(resp), enqueued);
+    finishResponse(std::move(resp), enqueued, worker_index);
 }
 
 void
@@ -657,7 +670,8 @@ ParallelSearchEngine::executeSearchRun(const Job *jobs, std::size_t count,
             if (k > seg)
                 executeBatchSegment(db, jobs + seg, k - seg,
                                     worker_index);
-            publishCached(jobs[k].request, cached, jobs[k].enqueued);
+            publishCached(jobs[k].request, cached, jobs[k].enqueued,
+                          worker_index);
             seg = k + 1;
             continue;
         }
@@ -744,7 +758,7 @@ ParallelSearchEngine::executeBatchSegment(core::Database &db,
         resp.data = r.data;
         resp.key = r.key;
         resp.bucketsAccessed = r.bucketsAccessed;
-        finishResponse(std::move(resp), jobs[i].enqueued);
+        finishResponse(std::move(resp), jobs[i].enqueued, worker_index);
     }
 }
 
@@ -804,28 +818,45 @@ ParallelSearchEngine::executeInsertRun(const Job *jobs, std::size_t count,
         resp.port = port_no;
         resp.op = core::PortOp::Insert;
         resp.hit = self.outcomes[i].ok;
-        finishResponse(std::move(resp), jobs[i].enqueued);
+        finishResponse(std::move(resp), jobs[i].enqueued, worker_index);
     }
 }
 
-void
-ParallelSearchEngine::noteCompletion()
+uint64_t
+ParallelSearchEngine::inflightCount() const
 {
-    if (inflight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(drainMutex);
-        drainCv.notify_all();
+    // Per port, `submitted` is read before `completed`: a request is
+    // counted submitted before it is published and completed after its
+    // response, so a difference is only ever understated by requests
+    // submitted while this runs.
+    uint64_t n = maintenanceInflight_.load(std::memory_order_seq_cst);
+    for (const auto &p : ports) {
+        const uint64_t submitted =
+            p->stats.submitted.load(std::memory_order_seq_cst);
+        const uint64_t completed =
+            p->stats.completed.load(std::memory_order_seq_cst);
+        n += submitted > completed ? submitted - completed : 0;
     }
+    return n;
 }
 
 void
-ParallelSearchEngine::ring(unsigned worker_index)
+ParallelSearchEngine::wakeDrain()
 {
-    Worker &w = *workers[worker_index];
-    // The empty critical section orders the ring after the waiter's
-    // predicate check: either the waiter saw the pushed work, or it is
-    // already parked and this notify wakes it.
-    { std::lock_guard<std::mutex> lock(w.bellMutex); }
-    w.bell.notify_one();
+    // Dekker pair with drain(): the caller's completions (seq_cst
+    // increments) precede this seq_cst load, and drain() raises the
+    // flag before its locked predicate re-check, so either drain()
+    // sees the completions or this load sees the flag.
+    if (drainers_.load(std::memory_order_seq_cst) == 0)
+        return;
+    { std::lock_guard<std::mutex> lock(drainMutex); }
+    drainCv.notify_all();
+}
+
+void
+ParallelSearchEngine::ring(unsigned index)
+{
+    workers[index]->bell.ring();
 }
 
 void
@@ -845,18 +876,19 @@ ParallelSearchEngine::workerMain(unsigned index)
             progressed = true;
         if (progressed)
             continue;
-        // Nothing anywhere: park on the doorbell.  Producers (submits
-        // to this worker's queue, writer-lane releases, stop()) ring
-        // after publishing, and the predicate re-checks every source
-        // under the bell mutex, so no wakeup can be lost.
-        std::unique_lock<std::mutex> lock(self.bellMutex);
         if (self.queue.closed() && self.queue.empty() &&
             !pendingReady(index))
             break;
-        self.bell.wait(lock, [&] {
-            return self.queue.closed() || !self.queue.empty() ||
-                   pendingReady(index);
-        });
+        // Nothing anywhere: spin (idleSpin_), then park on the
+        // doorbell.  Every source the predicate reads is published
+        // seq_cst before its publisher rings (submits, writer-lane
+        // releases, stop()).
+        self.bell.wait(
+            [&] {
+                return !self.queue.empty() || self.queue.closed() ||
+                       pendingReady(index);
+            },
+            idleSpin_);
     }
 }
 
@@ -865,46 +897,62 @@ ParallelSearchEngine::writerMain(unsigned lane)
 {
     auto &queue = *writerQueues[lane];
     const unsigned scratch_index = workerCount + lane;
+    Worker &self = *workers[scratch_index];
+    std::vector<MutationRun> runs;
     for (;;) {
-        std::optional<MutationRun> run = queue.pop();
-        if (!run)
-            break; // closed and drained
-        const unsigned port_no = run->jobs[0].request.port;
-        PortState &port = *ports[port_no];
-        // Execute with this lane's own scratch and counters (its
-        // trailing Worker) through the normal run loop -- consecutive
-        // Insert jobs still combine into one bulk ingest.  While the
-        // port is checked out the owner may stage follow-up mutation
-        // runs directly onto it; drain the staging deque until it is
-        // empty at the moment the busy flag drops.  Both sides hold
-        // stageMutex -- an owner that saw busy re-checks under the
-        // mutex before appending, so no staged run can be stranded
-        // behind a cleared flag.
-        std::vector<Job> jobs = std::move(run->jobs);
-        for (;;) {
-            processJobs(jobs, scratch_index);
-            jobs.clear();
-            {
-                std::lock_guard<std::mutex> lock(port.stageMutex);
-                if (port.staged.empty()) {
-                    port.busy.store(false, std::memory_order_release);
-                    break;
-                }
-                // Concatenate every staged run into one batch: the
-                // run loop re-splits it, and adjacent same-port insert
-                // runs combine into a single bulk ingest.
-                while (!port.staged.empty()) {
-                    MutationRun &next = port.staged.front();
-                    jobs.insert(
-                        jobs.end(),
-                        std::make_move_iterator(next.jobs.begin()),
-                        std::make_move_iterator(next.jobs.end()));
-                    port.staged.pop_front();
-                }
+        if (queue.tryPopBatch(runs, cfg.drainBatch) == 0) {
+            if (queue.closed() && queue.empty())
+                break; // closed and drained
+            self.bell.wait(
+                [&] { return !queue.empty() || queue.closed(); },
+                idleSpin_);
+            continue;
+        }
+        for (MutationRun &run : runs)
+            runMutation(run, scratch_index);
+    }
+}
+
+void
+ParallelSearchEngine::runMutation(MutationRun &run, unsigned scratch_index)
+{
+    const unsigned port_no = run.jobs[0].request.port;
+    PortState &port = *ports[port_no];
+    // Execute with this lane's own scratch and counters (its
+    // trailing Worker) through the normal run loop -- consecutive
+    // Insert jobs still combine into one bulk ingest.  While the
+    // port is checked out the owner may stage follow-up mutation
+    // runs directly onto it; drain the staging deque until it is
+    // empty at the moment the busy flag drops.  Both sides hold
+    // stageMutex -- an owner that saw busy re-checks under the
+    // mutex before appending, so no staged run can be stranded
+    // behind a cleared flag.
+    std::vector<Job> jobs = std::move(run.jobs);
+    for (;;) {
+        processJobs(jobs, scratch_index);
+        jobs.clear();
+        {
+            std::lock_guard<std::mutex> lock(port.stageMutex);
+            if (port.staged.empty()) {
+                // seq_cst: the owner's doorbell predicate
+                // (pendingReady) re-checks this flag.
+                port.busy.store(false, std::memory_order_seq_cst);
+                break;
+            }
+            // Concatenate every staged run into one batch: the
+            // run loop re-splits it, and adjacent same-port insert
+            // runs combine into a single bulk ingest.
+            while (!port.staged.empty()) {
+                MutationRun &next = port.staged.front();
+                jobs.insert(
+                    jobs.end(),
+                    std::make_move_iterator(next.jobs.begin()),
+                    std::make_move_iterator(next.jobs.end()));
+                port.staged.pop_front();
             }
         }
-        ring(workerOf(port_no));
     }
+    ring(workerOf(port_no));
 }
 
 bool
@@ -938,7 +986,7 @@ ParallelSearchEngine::pendingReady(unsigned index) const
     for (std::size_t p = index; p < ports.size(); p += workerCount) {
         const PortState &port = *ports[p];
         if (!port.pending.empty() &&
-            !port.busy.load(std::memory_order_acquire))
+            !port.busy.load(std::memory_order_seq_cst))
             return true;
     }
     return false;
@@ -1033,6 +1081,7 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
                     port.busy.store(true, std::memory_order_release);
                     const unsigned lane = laneOf(batch[i].request.port);
                     if (writerQueues[lane]->push(std::move(run))) {
+                        ring(workerCount + lane);
                         i = j + 1;
                         continue;
                     }
@@ -1041,31 +1090,23 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
                     port.busy.store(false, std::memory_order_release);
                 }
             }
-            if (j > i && op == core::PortOp::Search) {
+            if (j > i && op == core::PortOp::Search)
                 executeSearchRun(batch.data() + i, j - i + 1, index);
-                for (std::size_t k = i; k <= j; ++k)
-                    noteCompletion();
-            } else if (j > i) {
+            else if (j > i)
                 executeInsertRun(batch.data() + i, j - i + 1, index);
-                for (std::size_t k = i; k <= j; ++k)
-                    noteCompletion();
-            } else {
+            else
                 execute(batch[i].request, batch[i].enqueued, index);
-                noteCompletion();
-            }
             i = j + 1;
         }
     }
+    wakeDrain();
 }
 
 bool
 ParallelSearchEngine::enqueue(const core::PortRequest &request,
-                              bool block)
+                              bool block, bool ringNow)
 {
-    if (request.port >= ports.size())
-        fatal(strprintf("submit to unknown virtual port %u",
-                        request.port));
-    if (stopped)
+    if (request.port >= ports.size() || stopped)
         return false;
     const auto now = std::chrono::steady_clock::now();
     if (cfg.workers == 0) {
@@ -1077,20 +1118,30 @@ ParallelSearchEngine::enqueue(const core::PortRequest &request,
     // Count the submission *before* publishing the job: once the push
     // succeeds the owning worker can complete the request at any
     // moment, and a submitted count that trails the push lets a
-    // concurrent report() observe completed > submitted (and tears a
-    // plain counter under TSan).  A rejected push rolls it back.
-    inflight.fetch_add(1, std::memory_order_acq_rel);
+    // concurrent report() or drain() observe completed > submitted
+    // (and tears a plain counter under TSan).  A rejected push rolls
+    // it back.  `submitted` is the only counter a submit writes, and it
+    // sits on a cache line of its own: only producers write it.
     PortStats &stats = ports[request.port]->stats;
-    stats.submitted.fetch_add(1, std::memory_order_relaxed);
-    auto &queue = workers[workerOf(request.port)]->queue;
-    if (!(block ? queue.push(Job{request, now})
-                : queue.tryPush(Job{request, now}))) {
-        // Queue full (non-blocking) or closed: roll both counts back.
-        stats.submitted.fetch_sub(1, std::memory_order_relaxed);
-        noteCompletion();
+    stats.submitted.fetch_add(1, std::memory_order_seq_cst);
+    const unsigned owner = workerOf(request.port);
+    auto &queue = workers[owner]->queue;
+    Job job{request, now};
+    bool pushed = queue.tryPush(std::move(job));
+    if (!pushed && block && !queue.closed()) {
+        // Full: the owner may be parked without a ring for pushes this
+        // caller deferred (submitBatch), so ring before waiting.
+        ring(owner);
+        pushed = queue.push(std::move(job));
+    }
+    if (!pushed) {
+        // Ring full (non-blocking) or closed: roll the count back.
+        stats.submitted.fetch_sub(1, std::memory_order_seq_cst);
+        wakeDrain();
         return false;
     }
-    ring(workerOf(request.port));
+    if (ringNow)
+        ring(owner);
     return true;
 }
 
@@ -1123,13 +1174,15 @@ ParallelSearchEngine::submitMaintenanceStep(unsigned port)
     core::PortRequest req;
     req.port = port;
     req.op = core::PortOp::Maintenance;
-    // Counts toward inflight only -- drain() must cover an in-flight
-    // step (it mutates the table), but no response is produced, so the
-    // per-port submitted/completed counters stay foreground-only.
-    inflight.fetch_add(1, std::memory_order_acq_rel);
+    // Counts toward maintenanceInflight_ only -- drain() must cover an
+    // in-flight step (it mutates the table), but no response is
+    // produced, so the per-port submitted/completed counters stay
+    // foreground-only.
+    maintenanceInflight_.fetch_add(1, std::memory_order_seq_cst);
     if (!workers[workerOf(port)]->queue.tryPush(
             Job{req, std::chrono::steady_clock::now()})) {
-        noteCompletion();
+        maintenanceInflight_.fetch_sub(1, std::memory_order_seq_cst);
+        wakeDrain();
         return false;
     }
     ring(workerOf(port));
@@ -1149,12 +1202,20 @@ std::size_t
 ParallelSearchEngine::submitBatch(
     std::span<const core::PortRequest> requests)
 {
+    // One doorbell per owning worker per call: the pushes go out
+    // unrung and each worker that received any is rung once at the end
+    // (enqueue() still rings an owner before waiting on its full ring).
+    std::vector<bool> touched(workerCount, false);
     std::size_t accepted = 0;
     for (const core::PortRequest &req : requests) {
-        if (!submitRequest(req))
+        if (!enqueue(req, /*block=*/true, /*ringNow=*/false))
             break;
+        touched[workerOf(req.port)] = true;
         ++accepted;
     }
+    for (unsigned w = 0; w < workerCount; ++w)
+        if (touched[w])
+            ring(w);
     return accepted;
 }
 
@@ -1191,20 +1252,21 @@ ParallelSearchEngine::drain()
     if (cfg.workers == 0 || !running)
         return; // inline mode is always drained
     // Pause the maintenance planner for the wait: its steps count
-    // toward inflight, so an unpaused planner could keep the count
-    // bouncing off zero indefinitely.
-    drainingFg_.store(true, std::memory_order_release);
+    // toward the in-flight total, so an unpaused planner could keep it
+    // bouncing off zero indefinitely.  The count also asks every
+    // executing thread to ring drainCv after each batch (wakeDrain).
+    drainers_.fetch_add(1, std::memory_order_seq_cst);
     {
         std::unique_lock<std::mutex> lock(drainMutex);
-        drainCv.wait(lock, [&] {
-            return inflight.load(std::memory_order_acquire) == 0;
-        });
+        drainCv.wait(lock, [&] { return inflightCount() == 0; });
     }
-    // Quiesced window: inflight is 0 (maintenance steps count toward
-    // it) and the paused planner cannot submit a new one until the
-    // flag below clears, so no thread is mutating the tables.
+    // Quiesced window: nothing is in flight (maintenance steps
+    // included) and the paused planner cannot submit a new one until
+    // the count below drops, so no thread is mutating the tables.  A
+    // response is published only after its request's last table
+    // write, so a completed count covers the work behind it.
     refreshAnalyticBounds();
-    drainingFg_.store(false, std::memory_order_release);
+    drainers_.fetch_sub(1, std::memory_order_release);
 }
 
 void
@@ -1243,8 +1305,8 @@ ParallelSearchEngine::stop()
         w->queue.close();
     for (auto &q : writerQueues)
         q->close(); // drained already: writer lanes are idle
-    for (unsigned w = 0; w < workerCount; ++w)
-        ring(w); // wake parked workers so they observe close
+    for (unsigned w = 0; w < workers.size(); ++w)
+        ring(w); // wake parked workers and lanes so they observe close
     for (std::thread &t : threads)
         t.join();
     threads.clear();
@@ -1265,7 +1327,7 @@ std::optional<core::PortResponse>
 ParallelSearchEngine::fetchResult(unsigned port)
 {
     if (port >= ports.size())
-        fatal(strprintf("no results for unknown virtual port %u", port));
+        return std::nullopt;
     PortState &state = *ports[port];
     std::lock_guard<std::mutex> lock(state.resultMutex);
     if (state.results.empty())
@@ -1339,11 +1401,11 @@ ParallelSearchEngine::report() const
         out.writerSerialRowFetches > out.writerRowFetches
             ? out.writerSerialRowFetches - out.writerRowFetches
             : 0;
-    // `completed` before `wallEndNs`: each completion publishes its end
-    // stamp before incrementing completed (finishResponse), so the
-    // stamp read below covers every completion counted here and the
-    // wall throughput cannot be inflated by a half-published
-    // completion.
+    // `completed` before the end stamps: each completion publishes its
+    // thread's end stamp before incrementing completed
+    // (finishResponse), so the stamps read below cover every completion
+    // counted here and the wall throughput cannot be inflated by a
+    // half-published completion.
     for (const auto &p : ports) {
         out.completed += p->stats.completed.load(
             std::memory_order_acquire);
@@ -1394,8 +1456,11 @@ ParallelSearchEngine::report() const
                 std::memory_order_relaxed);
         }
     }
-    out.wallSeconds =
-        wallEndNs.load(std::memory_order_acquire) / 1e9;
+    uint64_t wall_end_ns = 0;
+    for (const auto &w : workers)
+        wall_end_ns = std::max(
+            wall_end_ns, w->wallEndNs.load(std::memory_order_relaxed));
+    out.wallSeconds = wall_end_ns / 1e9;
     if (out.wallSeconds > 0.0)
         out.wallMsps = out.completed / out.wallSeconds / 1e6;
     if (maintenance_) {

@@ -12,9 +12,20 @@
  * ParallelSearchEngine shards the subsystem's virtual ports across N
  * worker threads -- port p belongs to worker p % N, so each database
  * is touched by exactly one worker and needs no locking -- with a
- * thread-safe bounded request queue per worker (backpressure-aware),
- * per-port FIFO result streams, and per-port latency/throughput
- * instrumentation.
+ * bounded lock-free request ring per worker (sim::MpmcRing,
+ * backpressure-aware), per-port FIFO result streams, and per-port
+ * latency/throughput instrumentation.
+ *
+ * Like the paper's per-slice input controllers, the threads share
+ * nothing on a request's fast path except the ring slot that carries
+ * it.  A submit claims and publishes a slot and reads the owner's
+ * doorbell; it takes no lock and notifies nobody unless the owner has
+ * parked (sim::Doorbell: an idle worker or writer lane spins ~20 us,
+ * then parks; it parks at once when the engine has more threads than
+ * the host has cores).  There is no shared in-flight counter: drain()
+ * compares each port's producer-written `submitted` (on a cache line
+ * of its own) with its executor-written `completed`, and every
+ * executing thread keeps its own wall-clock end stamp.
  *
  * Throughput is accounted in *modeled* memory cycles: each worker is an
  * independent input controller whose lookups occupy its bank for
@@ -82,7 +93,7 @@
 #include "core/subsystem.h"
 #include "engine/result_cache.h"
 #include "mem/timing.h"
-#include "sim/concurrent_queue.h"
+#include "sim/mpmc_ring.h"
 #include "sim/epoch.h"
 
 namespace caram::engine {
@@ -92,11 +103,15 @@ struct EngineConfig
 {
     /** Worker threads; 0 = deterministic inline execution. */
     unsigned workers = 1;
-    /** Depth of each worker's request queue (backpressure bound). */
+    /** Depth of each worker's request ring (backpressure bound): the
+     *  (queueCapacity + 1)-th outstanding request of one worker is
+     *  refused by trySubmit() and waited for by submit().  The ring's
+     *  slots (one 128-byte slot per request) are mapped up front. */
     std::size_t queueCapacity = 1024;
     /** Memory timing used for the modeled cycle accounting. */
     mem::MemTiming timing = mem::MemTiming::embeddedDram();
-    /** Max requests a worker pops per lock acquisition. */
+    /** Max requests a worker pops from its ring at once (one claim of
+     *  the ring's consumer position per pop). */
     std::size_t drainBatch = 64;
     /**
      * Multi-key batch width: a worker executes up to this many
@@ -260,16 +275,19 @@ struct EngineConfig
  * (its owning worker, or the writer lane under
  * EngineConfig::concurrentMutation) and read live by report()/
  * portStats() -- reading them mid-run is race-free and each value is
- * individually consistent.  The latency/AMAL aggregates below the
- * counters are NOT atomic: they have exactly one writer at a time (the
- * owner, or the writer lane while the port is handed off -- the two
- * are serialized by the hand-off itself), and they are only meaningful
- * once the engine is drained.
+ * individually consistent.  `submitted` has a cache line to itself so
+ * the producer's write never contends with the executor's.  The
+ * latency/AMAL aggregates below the counters are NOT atomic: they have
+ * exactly one writer at a time (the owner, or the writer lane while
+ * the port is handed off -- the two are serialized by the hand-off
+ * itself), and they are only meaningful once the engine is drained.
  */
 struct PortStats
 {
-    std::atomic<uint64_t> submitted{0};
-    std::atomic<uint64_t> completed{0};
+    /** Written by producers only. */
+    alignas(sim::kCacheLineBytes) std::atomic<uint64_t> submitted{0};
+    /** The rest: written by the port's executing thread. */
+    alignas(sim::kCacheLineBytes) std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> errors{0}; ///< responses with ok == false
     /** Wall-clock enqueue -> result latency, microseconds.  Read only
@@ -414,12 +432,13 @@ class ParallelSearchEngine
      *  started). */
     void start();
 
-    /** Non-blocking submit; false when the owning worker's queue is
-     *  full (backpressure) or the engine is stopped. */
+    /** Non-blocking submit; false when the owning worker's ring is
+     *  full (backpressure), the engine is stopped, or @p port is not a
+     *  port of the subsystem (nothing is counted then). */
     bool trySubmit(unsigned port, const Key &key, uint64_t tag);
 
-    /** Blocking submit: waits for queue space.  False only when the
-     *  engine was stopped. */
+    /** Blocking submit: waits for ring space.  False only when the
+     *  engine was stopped or @p port is unknown. */
     bool submit(unsigned port, const Key &key, uint64_t tag);
 
     /** Submit a full request (insert/erase travel this way too). */
@@ -427,7 +446,10 @@ class ParallelSearchEngine
 
     /**
      * Submit a batch, blocking on backpressure, preserving order.
-     * Returns the number accepted (all of them unless stopped).
+     * Rings each receiving worker's doorbell once, after its last
+     * push.  Returns the number accepted: all of them, unless the
+     * engine is stopped or a request names an unknown port, where the
+     * batch stops.
      */
     std::size_t submitBatch(std::span<const core::PortRequest> requests);
 
@@ -455,7 +477,8 @@ class ParallelSearchEngine
     /** Drain, close the queues and join the workers. */
     void stop();
 
-    /** Pop the next result of @p port (per-port FIFO order). */
+    /** Pop the next result of @p port (per-port FIFO order); nullopt
+     *  when there is none or @p port is unknown. */
     std::optional<core::PortResponse> fetchResult(unsigned port);
 
     /**
@@ -532,11 +555,17 @@ class ParallelSearchEngine
     struct MutationRun;
 
     /** Shared body of every submit: blocking push when @p block,
-     *  otherwise false on a full queue. */
-    bool enqueue(const core::PortRequest &request, bool block);
+     *  otherwise false on a full ring.  Rings the owner after the push
+     *  when @p ringNow (submitBatch defers it). */
+    bool enqueue(const core::PortRequest &request, bool block,
+                 bool ringNow = true);
     void workerMain(unsigned index);
     /** Writer-lane thread body (concurrentMutation only). */
     void writerMain(unsigned lane);
+    /** Execute one hand-off on a writer lane (@p scratch_index is the
+     *  lane's trailing Worker), drain the port's staged runs, release
+     *  the port and ring its owner. */
+    void runMutation(MutationRun &run, unsigned scratch_index);
     /** Re-dispatch deferred jobs of @p index's ports whose writer-lane
      *  hand-off has completed.  Returns true when any job ran. */
     bool drainPending(unsigned index);
@@ -575,8 +604,9 @@ class ParallelSearchEngine
                              std::chrono::steady_clock::time_point
                                  enqueued,
                              unsigned worker_index);
-    /** Wake one parked worker (doorbell). */
-    void ring(unsigned worker_index);
+    /** Ring the doorbell of worker or lane @p index (workers[index]);
+     *  notifies only if that thread has parked. */
+    void ring(unsigned index);
     /** Execute @p count same-port Insert jobs as one bulk ingest. */
     void executeInsertRun(const Job *jobs, std::size_t count,
                           unsigned worker_index);
@@ -588,7 +618,8 @@ class ParallelSearchEngine
      *  zero modeled cycles (the paper's row activations never happen). */
     void publishCached(const core::PortRequest &request,
                        const core::SearchResult &cached,
-                       std::chrono::steady_clock::time_point enqueued);
+                       std::chrono::steady_clock::time_point enqueued,
+                       unsigned worker_index);
     /** Invalidate @p port's cached entries after a mutation run
      *  executed: region-granular when the mutation's dirty-row mask
      *  allows it, whole-port otherwise (@p wholePort, used by Rebuild
@@ -596,14 +627,22 @@ class ParallelSearchEngine
      *  busy-flag hand-off, so bumping after the mutation is safe: no
      *  probe of this port can run in between. */
     void invalidateCache(unsigned port, bool wholePort);
-    /** Publish one finished response: stats, latency, result stream. */
+    /** Publish one finished response: stats, latency, result stream,
+     *  and the executing thread's (@p worker_index) wall end stamp. */
     void finishResponse(core::PortResponse resp,
-                        std::chrono::steady_clock::time_point enqueued);
-    void noteCompletion();
+                        std::chrono::steady_clock::time_point enqueued,
+                        unsigned worker_index);
+    /** Requests submitted but not yet completed, plus maintenance steps
+     *  not yet executed (drain()'s predicate, the planner's backoff
+     *  signal). */
+    uint64_t inflightCount() const;
+    /** Ring drainCv if a drain() is waiting; executing threads call it
+     *  after each batch, producers after a rolled-back submit. */
+    void wakeDrain();
     /** Enqueue one internal PortOp::Maintenance request for @p port
      *  (called by the maintenance planner thread; non-blocking --
      *  false when the owner's queue is full or the engine stopped).
-     *  The request counts toward `inflight` so drain() covers it, but
+     *  The step counts toward inflightCount() so drain() covers it, but
      *  toward no per-port stats and no result stream. */
     bool submitMaintenanceStep(unsigned port);
     /** Total completed foreground requests across the ports (the
@@ -622,9 +661,12 @@ class ParallelSearchEngine
     /** Resolved writer-lane count (config, or CARAM_WRITER_LANES);
      *  0 when mutations do not route through writer lanes. */
     unsigned writerLaneCount_ = 0;
-    /** Per-lane hand-off queues (concurrentMutation only). */
-    std::vector<std::unique_ptr<sim::ConcurrentBoundedQueue<MutationRun>>>
-        writerQueues;
+    /** How long an idle worker or lane spins before it parks:
+     *  sim::Doorbell::kSpin when the engine's threads fit the host's
+     *  cores, else zero. */
+    std::chrono::microseconds idleSpin_{0};
+    /** Per-lane hand-off rings (concurrentMutation only). */
+    std::vector<std::unique_ptr<sim::MpmcRing<MutationRun>>> writerQueues;
     std::vector<std::unique_ptr<PortState>> ports;
     /** One per worker thread, plus one trailing scratch set per writer
      *  lane when concurrentMutation is on (indices workerCount ..
@@ -644,17 +686,18 @@ class ParallelSearchEngine
     std::unique_ptr<MaintenanceEngine> maintenance_;
     bool running = false;
     bool stopped = false;
-    /** True while drain() waits for inflight == 0: the maintenance
-     *  planner pauses so its steps cannot keep inflight nonzero
-     *  indefinitely. */
-    std::atomic<bool> drainingFg_{false};
+    /** drain() calls waiting for inflightCount() == 0.  While nonzero
+     *  the maintenance planner pauses so its steps cannot keep the
+     *  count nonzero indefinitely, and executing threads ring drainCv
+     *  after each batch. */
+    std::atomic<unsigned> drainers_{0};
 
-    std::atomic<uint64_t> inflight{0};
+    /** Maintenance steps submitted and not yet executed. */
+    std::atomic<uint64_t> maintenanceInflight_{0};
     std::mutex drainMutex;
     std::condition_variable drainCv;
 
     std::chrono::steady_clock::time_point wallStart;
-    std::atomic<uint64_t> wallEndNs{0};
 };
 
 } // namespace caram::engine

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -1727,6 +1728,237 @@ TEST(Engine, PeekStableKeysWhileMutationStreamRuns)
     for (unsigned p = 0; p < kPorts; ++p)
         completed += eng.portStats(p).completed.load();
     EXPECT_EQ(completed, stream.size());
+    eng.stop();
+}
+
+TEST(Engine, UnknownPortIsAnErrorNotAnAbort)
+{
+    // Every submit entry point refuses a port the subsystem does not
+    // have and counts nothing; fetchResult has no results for it.  The
+    // engine keeps serving the known ports, and drain() returns (no
+    // refused request leaks into the in-flight count).
+    for (unsigned workers : {0u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        auto sys = buildLoaded(2, 10);
+        EngineConfig cfg;
+        cfg.workers = workers;
+        ParallelSearchEngine eng(*sys, cfg);
+        eng.start();
+        EXPECT_FALSE(eng.submit(2, Key::fromUint(1, 32), 1));
+        EXPECT_FALSE(eng.trySubmit(7, Key::fromUint(1, 32), 2));
+        PortRequest bad;
+        bad.port = 5;
+        bad.op = PortOp::Insert;
+        bad.key = Key::fromUint(3, 32);
+        bad.tag = 3;
+        EXPECT_FALSE(eng.submitRequest(bad));
+        EXPECT_FALSE(eng.submitRebuild(9, 4));
+        // A batch stops at its first unknown port.
+        std::vector<PortRequest> batch = searchStream(2, 3);
+        batch.insert(batch.begin() + 4, bad);
+        EXPECT_EQ(eng.submitBatch(batch), 4u);
+        EXPECT_FALSE(eng.fetchResult(2).has_value());
+        EXPECT_FALSE(eng.fetchResult(99).has_value());
+        eng.drain();
+        uint64_t submitted = 0;
+        uint64_t completed = 0;
+        for (unsigned p = 0; p < 2; ++p) {
+            submitted += eng.portStats(p).submitted.load();
+            completed += eng.portStats(p).completed.load();
+        }
+        EXPECT_EQ(submitted, 4u);
+        EXPECT_EQ(completed, 4u);
+        EXPECT_EQ(eng.report().completed, 4u);
+        std::size_t fetched = 0;
+        for (unsigned p = 0; p < 2; ++p)
+            while (eng.fetchResult(p))
+                ++fetched;
+        EXPECT_EQ(fetched, 4u);
+        eng.stop();
+    }
+}
+
+TEST(Engine, SubmitBatchLargerThanRingsCompletes)
+{
+    // submitBatch defers its doorbells to the end of the call, so it
+    // must ring an owner before waiting on that owner's full ring;
+    // otherwise a parked worker and the blocked producer would wait on
+    // each other.  Tiny rings make the call block many times.
+    const auto stream = searchStream(4, 300);
+    auto serial_sys = buildLoaded(4, 40);
+    const auto reference = serialReference(*serial_sys, stream);
+
+    auto sys = buildLoaded(4, 40);
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.queueCapacity = 3;
+    cfg.drainBatch = 2;
+    cfg.maintenance = false; // migrations would change bucketsAccessed
+    ParallelSearchEngine eng(*sys, cfg);
+    eng.start();
+    // Let both workers pass their spin window and park first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(eng.submitBatch(stream), stream.size());
+    eng.drain();
+    expectMatchesReference(eng, reference);
+    eng.stop();
+}
+
+TEST(Engine, PreQueuedBatchedRunsAreDeterministic)
+{
+    // A stream queued before start() (rings at least as deep as the
+    // stream) is popped in full drainBatch-sized batches whatever the
+    // host's cores do, so the batched pipeline's modeled cycles repeat
+    // exactly from run to run.
+    std::vector<PortRequest> stream;
+    Rng rng(31);
+    uint64_t tag = 0;
+    for (std::size_t i = 0; i < 400; ++i) {
+        const unsigned port = static_cast<unsigned>(rng.below(4));
+        const Key key = Key::fromUint(rng.next64() & 0xffffffffu, 32);
+        for (std::size_t t = 1 + rng.below(6); t > 0; --t) {
+            PortRequest req;
+            req.port = port;
+            req.key = key;
+            req.tag = ++tag;
+            stream.push_back(req);
+        }
+    }
+    auto serial_sys = buildLoaded(4, 60);
+    const auto reference = serialReference(*serial_sys, stream);
+
+    std::vector<uint64_t> cycles;
+    for (int run = 0; run < 3; ++run) {
+        auto sys = buildLoaded(4, 60);
+        EngineConfig cfg;
+        cfg.workers = 2;
+        cfg.batchSize = 32;
+        cfg.queueCapacity = stream.size();
+        cfg.resultCacheEntries = 0;
+        cfg.maintenance = false;
+        ParallelSearchEngine eng(*sys, cfg);
+        EXPECT_EQ(eng.submitBatch(stream), stream.size());
+        eng.start();
+        eng.drain();
+        expectMatchesReference(eng, reference);
+        uint64_t c = 0;
+        for (unsigned p = 0; p < 4; ++p)
+            c += eng.portStats(p).modeledCycles.load();
+        cycles.push_back(c);
+        EXPECT_GT(eng.report().batchedSearchRuns, 0u);
+        eng.stop();
+    }
+    EXPECT_EQ(cycles[0], cycles[1]);
+    EXPECT_EQ(cycles[0], cycles[2]);
+}
+
+TEST(Engine, LostWakeupStress)
+{
+    // Two producers feed disjoint port pairs of a 2-worker, 2-lane
+    // engine with mixed searches, inserts, erases and rebuilds, in
+    // bursts separated by idle gaps longer than the doorbell's spin
+    // window: between bursts every worker and writer lane parks, so
+    // each burst must wake them through the parked path (a lost wakeup
+    // stalls the burst).  The result streams must match the serial
+    // oracle.
+    constexpr unsigned kPorts = 4;
+    constexpr std::size_t kOpsPerProducer = 1200;
+    const auto gap = std::chrono::microseconds(
+        4 * sim::Doorbell::kSpin.count());
+    std::array<std::vector<PortRequest>, 2> streams;
+    uint64_t tag = 0;
+    for (unsigned prod = 0; prod < 2; ++prod) {
+        Rng rng(900 + prod);
+        std::array<std::vector<uint64_t>, kPorts> live;
+        for (std::size_t i = 0; i < kOpsPerProducer; ++i) {
+            PortRequest req;
+            req.port = 2 * prod + static_cast<unsigned>(rng.below(2));
+            req.tag = ++tag;
+            auto &keys = live[req.port];
+            const uint64_t roll = rng.below(100);
+            if (roll < 40 || keys.empty()) {
+                const uint64_t v = rng.next64() & 0xffffffffu;
+                req.op = PortOp::Insert;
+                req.key = Key::fromUint(v, 32);
+                req.data = i;
+                keys.push_back(v);
+            } else if (roll < 85) {
+                req.op = PortOp::Search;
+                req.key = Key::fromUint(
+                    rng.chance(0.7) ? keys[rng.below(keys.size())]
+                                    : rng.next64() & 0xffffffffu,
+                    32);
+            } else if (roll < 99) {
+                req.op = PortOp::Erase;
+                const std::size_t k = rng.below(keys.size());
+                req.key = Key::fromUint(keys[k], 32);
+                keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(k));
+            } else {
+                req.op = PortOp::Rebuild;
+            }
+            streams[prod].push_back(req);
+        }
+    }
+    std::vector<PortRequest> combined = streams[0];
+    combined.insert(combined.end(), streams[1].begin(), streams[1].end());
+    auto serial_sys = buildLoaded(kPorts, 30);
+    const auto reference = serialReference(*serial_sys, combined);
+
+    auto sys = buildLoaded(kPorts, 30);
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.writerLanes = 2;
+    cfg.concurrentMutation = true;
+    cfg.batchSize = 4;
+    cfg.maintenance = false; // migrations would change bucketsAccessed
+    ParallelSearchEngine eng(*sys, cfg);
+    ASSERT_EQ(eng.resolvedWriterLanes(), 2u);
+    eng.start();
+    const auto produce = [&](unsigned prod) {
+        const std::vector<PortRequest> &mine = streams[prod];
+        Rng rng(77 + prod);
+        std::size_t next = 0;
+        std::size_t bursts = 0;
+        while (next < mine.size()) {
+            const std::size_t n =
+                std::min<std::size_t>(1 + rng.below(24), mine.size() - next);
+            if (bursts++ % 2 == 0) {
+                EXPECT_EQ(eng.submitBatch(std::span<const PortRequest>(
+                              mine.data() + next, n)),
+                          n);
+            } else {
+                for (std::size_t i = 0; i < n; ++i)
+                    EXPECT_TRUE(eng.submitRequest(mine[next + i]));
+            }
+            next += n;
+            // Wait for the burst to complete, then idle past the spin
+            // window so the next burst finds the engine parked.
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            for (;;) {
+                uint64_t done = 0;
+                for (unsigned p = 2 * prod; p < 2 * prod + 2; ++p)
+                    done += eng.portStats(p).completed.load();
+                if (done == next)
+                    break;
+                if (std::chrono::steady_clock::now() > deadline) {
+                    ADD_FAILURE() << "producer " << prod << " stalled at "
+                                  << done << " of " << next;
+                    return;
+                }
+                std::this_thread::yield();
+            }
+            std::this_thread::sleep_for(gap);
+        }
+    };
+    std::thread a(produce, 0u);
+    std::thread b(produce, 1u);
+    a.join();
+    b.join();
+    eng.drain();
+    expectMatchesReference(eng, reference);
+    for (unsigned p = 0; p < kPorts; ++p)
+        EXPECT_EQ(sys->database(p).size(), serial_sys->database(p).size());
     eng.stop();
 }
 
