@@ -110,6 +110,13 @@ public:
                       << line << "\n";
     }
 
+    /** A gate this host cannot run (never fails). */
+    void
+    skip(const std::string &line)
+    {
+        std::cout << "SKIP: " << line << "\n";
+    }
+
     /** An info-only line in the same stream (never gates). */
     void
     info(const std::string &line)

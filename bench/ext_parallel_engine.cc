@@ -25,6 +25,13 @@
  * gate) do not depend on the host's cores; its wall column times
  * start() .. drain() over the pre-queued stream.
  *
+ * A third section runs a 90/10 read/write stream with mutations on the
+ * writer lane and on the blocking in-run path, at 4 workers and again
+ * at nproc - 2 workers, where the producer, the workers and the lane
+ * each have a core.  There the writer lane's wall Msps (best of three
+ * runs per mode) is gated at >= 0.5x the blocking path's; the gate
+ * prints SKIP on hosts with fewer than 3 cores.
+ *
  * A fourth section sweeps Zipf-skewed hot-key traffic (s in {0, 0.8,
  * 0.99, 1.2}) through the lock-free result cache
  * (EngineConfig::resultCacheEntries): hit rate, modeled Msps uplift
@@ -49,6 +56,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -569,6 +577,11 @@ main(int argc, char **argv)
                  "4 workers) ---\n\n";
     double ro_msps = 0.0;
     double mixed_search_msps = 0.0;
+    // Writer-lane vs blocking wall Msps at a worker count whose threads
+    // (producer + workers + one lane) fit the host; 0 when they cannot.
+    const unsigned host_cpus = std::thread::hardware_concurrency();
+    const unsigned fit_workers = host_cpus >= 3 ? host_cpus - 2 : 0;
+    double lane_wall_ratio = 0.0;
     {
         const std::vector<PortRequest> mixed = buildMixedStream(per_port);
         std::size_t n_searches = 0;
@@ -578,10 +591,10 @@ main(int argc, char **argv)
         TextTable mt({"stream", "mutation mode", "modeled Msps",
                       "search-only Msps", "wall Msps"});
         auto run = [&](const std::vector<PortRequest> &s, bool cm,
-                       std::size_t searches) {
+                       std::size_t searches, unsigned workers = 4) {
             auto sys = buildSubsystem(/*split=*/true, 4096);
             engine::EngineConfig cfg;
-            cfg.workers = 4;
+            cfg.workers = workers;
             cfg.queueCapacity = 4096;
             cfg.timing = timing;
             cfg.concurrentMutation = cm;
@@ -614,6 +627,35 @@ main(int argc, char **argv)
                    fixed(lane.first.modeledMsps, 2),
                    fixed(mixed_search_msps, 2),
                    fixed(lane.first.wallMsps, 2)});
+        if (fit_workers > 0) {
+            // The wall clock only means something when every thread has
+            // a core.  Best of three alternating runs per mode: a shared
+            // host's slow spells can only lower a run's figure.
+            double block_wall = 0.0, lane_wall = 0.0;
+            engine::EngineReport block_rep, lane_rep;
+            for (int rep = 0; rep < 3; ++rep) {
+                const auto b = run(mixed, false, n_searches, fit_workers);
+                if (b.first.wallMsps > block_wall) {
+                    block_wall = b.first.wallMsps;
+                    block_rep = b.first;
+                }
+                const auto l = run(mixed, true, n_searches, fit_workers);
+                if (l.first.wallMsps > lane_wall) {
+                    lane_wall = l.first.wallMsps;
+                    lane_rep = l.first;
+                }
+            }
+            const std::string at =
+                " @ " + std::to_string(fit_workers) + "w";
+            mt.addRow({"90/10 mixed", "in-run (blocking)" + at,
+                       fixed(block_rep.modeledMsps, 2), "-",
+                       fixed(block_wall, 2)});
+            mt.addRow({"90/10 mixed", "writer lane" + at,
+                       fixed(lane_rep.modeledMsps, 2), "-",
+                       fixed(lane_wall, 2)});
+            lane_wall_ratio = block_wall > 0.0 ? lane_wall / block_wall
+                                               : 0.0;
+        }
         mt.print(std::cout);
         std::cout <<
             "\nsearch-only Msps: the searches' share of the modeled "
@@ -825,6 +867,16 @@ main(int argc, char **argv)
              fixed(mixed_search_msps, 2) + " Msps within 10% of "
              "read-only " +
              fixed(ro_msps, 2) + " Msps under the writer lane");
+    if (fit_workers > 0)
+        gate(lane_wall_ratio >= 0.5,
+             "90/10 writer-lane wall Msps at " +
+                 fixed(lane_wall_ratio, 2) + "x the blocking path at " +
+                 std::to_string(fit_workers) + " workers (>= 0.5x "
+                 "target)");
+    else
+        gates.skip("90/10 writer-lane wall ratio: " +
+                   std::to_string(host_cpus) + " cores cannot run a "
+                   "producer, a worker and a writer lane side by side");
     gate(hit_rate_099 >= 0.60,
          percent(hit_rate_099) +
              " cache hit rate at Zipf s=0.99 (>= 60% target)");

@@ -58,6 +58,17 @@
 # modeled overhead on 100%-hit traffic; its 90%-miss reduction is also
 # compared against the checked-in baseline.
 #
+# The perfbench section runs the repository benchmark
+# (perfbench/run.py, BENCHMARK.json) for 3 s on seed 1 per workload
+# (ip_lpm, engine_uniform, engine_churn_zipf), plus one traced
+# engine_churn_zipf run.  It gates no wall-clock number: a run fails
+# on a nonzero exit, on a result whose "correct" is not true, or on a
+# "scheduling-dependent modeled count" other than
+# engine.writer.staged_runs (the writer lane's one known
+# timing-dependent count).  The driver refuses hosts with fewer than 4
+# cores, so the section is skipped there with a note.  CARAM_* knobs
+# are cleared for these runs: the benchmark measures the defaults.
+#
 # Every bench emits standardized "PASS: " / "FAIL: " gate lines
 # (bench/bench_common.h); this script scrapes them into a per-metric
 # summary table at the end, so a red run names the offending metric
@@ -159,6 +170,66 @@ run_bench maintenance \
     --json "$BUILD_DIR"/BENCH_maintenance.json \
     --baseline "$MAINTENANCE_BASELINE"
 
+# run_perfbench <workload> <trace>: one short perfbench run, its output
+# and its PASS/FAIL lines in one log.
+run_perfbench() {
+    local wl="$1" trace="$2"
+    local name="perfbench_$wl"
+    if [ "$trace" = 1 ]; then
+        name="${name}_trace"
+    fi
+    local log="$LOG_DIR/$name.log"
+    local unset_args=()
+    local var
+    while IFS= read -r var; do
+        unset_args+=(-u "$var")
+    done < <(compgen -e | grep '^CARAM_' || true)
+    echo
+    echo "=== $name ==="
+    local status=0
+    env "${unset_args[@]}" python3 perfbench/run.py --workload "$wl" \
+        --seed 1 --seconds 3 --trace "$trace" > "$log" 2>&1 || status=$?
+    local label="$wl --trace $trace"
+    # Read the run's own output before the verdict lines go after it.
+    local result sched
+    result="$(tail -n 1 "$log")"
+    sched="$(grep '^scheduling-dependent modeled count: ' "$log" |
+        grep -v 'engine\.writer\.staged_runs' || true)"
+    {
+        if [ "$status" -eq 0 ]; then
+            echo "PASS: perfbench $label exited 0"
+        else
+            echo "FAIL: perfbench $label exited $status"
+        fi
+        if grep -q '"correct": true' <<< "$result"; then
+            echo "PASS: perfbench $label answers all correct"
+        else
+            echo "FAIL: perfbench $label result not \"correct\": true"
+        fi
+        if [ -z "$sched" ]; then
+            echo "PASS: perfbench $label modeled counts repeat" \
+                "(engine.writer.staged_runs aside)"
+        else
+            while IFS= read -r line; do
+                echo "FAIL: perfbench $label $line"
+            done <<< "$sched"
+        fi
+    } >> "$log"
+    cat "$log"
+}
+
+if [ "$(nproc)" -lt 4 ]; then
+    echo
+    echo "=== perfbench ==="
+    echo "note: perfbench smoke skipped: the driver needs 4 cores" \
+        "(producer + 2 workers + 1 writer lane), this host has $(nproc)"
+else
+    for wl in ip_lpm engine_uniform engine_churn_zipf; do
+        run_perfbench "$wl" 0
+    done
+    run_perfbench engine_churn_zipf 1
+fi
+
 # ---------------------------------------------------------------------
 # Per-metric summary: one row per gate line, offending metrics last so
 # a red run ends with the metric name and its measured-vs-target delta.
@@ -173,6 +244,9 @@ for log in "$LOG_DIR"/*.log; do
     while IFS= read -r line; do
         printf '%-14s %-6s %s\n' "$name" "PASS" "${line#PASS: }"
     done < <(grep '^PASS: ' "$log" || true)
+    while IFS= read -r line; do
+        printf '%-14s %-6s %s\n' "$name" "SKIP" "${line#SKIP: }"
+    done < <(grep '^SKIP: ' "$log" || true)
 done
 for log in "$LOG_DIR"/*.log; do
     name="$(basename "$log" .log)"

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the concurrency layer: builds with
 # -DCARAM_TSAN=ON and runs the lock-free hand-off ring and doorbell
-# tests (ConcurrentQueue.*, Doorbell.*) and the parallel-engine tests
-# under TSan.  The Engine suite includes the batched multi-key
+# tests (ConcurrentQueue.*, Doorbell.*), the per-port result stream
+# (SpscBlockQueue.*, whose ProducerRoleMovesBetweenThreads hands the
+# producer role between threads under two locked consumers, and the
+# engine-level ResultStream.* tests, where one port's responses
+# alternate between its owning worker and its writer lane while two
+# threads fetch) and the parallel-engine tests under TSan.  The Engine suite includes the batched multi-key
 # pipeline tests (Engine.Batched*), so worker-side group execution and
 # flush-around-mutation paths are raced too, the bulk-ingest tests
 # (Engine.BatchedIngestMatchesSerial, Engine.BulkLoadMatchesSerial*,
@@ -49,10 +53,10 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DCARAM_TSAN=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target test_mpmc_ring test_engine test_epoch \
+    --target test_mpmc_ring test_spsc_block_queue test_engine test_epoch \
     seqlock_concurrent concurrent_mutation_differential \
     result_cache_differential prefilter_differential \
     maintenance_differential
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$BUILD_DIR" \
-    -R 'ConcurrentQueue|Doorbell|Engine|Epoch|SeqlockConcurrent|ConcurrentMutation|ResultCache|Prefilter|Maintenance' \
+    -R 'ConcurrentQueue|Doorbell|SpscBlockQueue|ResultStream|Engine|Epoch|SeqlockConcurrent|ConcurrentMutation|ResultCache|Prefilter|Maintenance' \
     --output-on-failure

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <set>
@@ -14,6 +15,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "engine/maintenance_engine.h"
+#include "sim/spsc_block_queue.h"
 
 namespace caram::engine {
 
@@ -75,8 +77,14 @@ struct ParallelSearchEngine::MutationRun
 /** Per-port result stream and instrumentation. */
 struct ParallelSearchEngine::PortState
 {
-    std::mutex resultMutex;
-    std::deque<core::PortResponse> results;
+    /**
+     * The port's responses, in execution (= per-port FIFO) order.  One
+     * thread pushes at a time -- see finishResponse() for who and why.
+     * Consumers (fetchResult(), from any thread) take turns on
+     * fetchMutex, which no executing thread ever touches.
+     */
+    sim::SpscBlockQueue<core::PortResponse> results;
+    alignas(sim::kCacheLineBytes) std::mutex fetchMutex;
     PortStats stats;
     /** concurrentMutation hand-off flag: true from the moment the
      *  owning worker passes a mutation run to the writer lane until the
@@ -140,6 +148,8 @@ struct ParallelSearchEngine::Worker
     std::vector<core::Record> records;
     std::vector<int> priorities;
     std::vector<core::InsertOutcome> outcomes;
+    /** drainPending()'s re-dispatch scratch. */
+    std::vector<Job> redispatch;
     /** Merged row-op accounting of this worker's insert runs, under
      *  ingestMutex (a struct of counters cannot be read atomically). */
     std::mutex ingestMutex;
@@ -317,10 +327,14 @@ ParallelSearchEngine::finishResponse(
     port.stats.latencyLog2Us.add(
         static_cast<uint64_t>(std::floor(std::log2(1.0 + us))));
 
-    {
-        std::lock_guard<std::mutex> lock(port.resultMutex);
-        port.results.push_back(std::move(resp));
-    }
+    // The result stream has one producer at a time: the port's owning
+    // worker; or its writer lane, while the lane holds the port (the
+    // owner's release store of `busy` before the hand-off and its
+    // acquire load of the lane's clear order the two threads' pushes);
+    // or, in inline mode, the submitting caller.  The push precedes the
+    // seq_cst `completed` increment below, so a drain() that sees the
+    // count is followed by a fetchResult() that sees the response.
+    port.results.push(std::move(resp));
 
     // Store this thread's wall-clock end stamp *before* advancing the
     // completion counters: report() reads `completed` first (acquire,
@@ -961,19 +975,32 @@ ParallelSearchEngine::drainPending(unsigned index)
     if (!cfg.concurrentMutation)
         return false;
     bool progressed = false;
+    std::vector<Job> &prefix = workers[index]->redispatch;
     for (std::size_t p = index; p < ports.size(); p += workerCount) {
         PortState &port = *ports[p];
-        if (port.pending.empty() ||
-            port.busy.load(std::memory_order_acquire))
-            continue;
-        // Re-dispatch through the normal run loop.  If a deferred
-        // mutation hands the port off again, the jobs behind it land
-        // back in pending -- the deque was emptied first, so the FIFO
-        // order is preserved.
-        std::vector<Job> local(port.pending.begin(), port.pending.end());
-        port.pending.clear();
-        processJobs(local, index);
-        progressed = true;
+        // Re-dispatch the deferred jobs one prefix at a time: the
+        // searches up to and including the next mutation, which hands
+        // the port off again and ends the loop.  The jobs behind it
+        // stay in pending, untouched, so each deferred job is moved
+        // exactly once (re-running the whole deque after every
+        // hand-off made a mutation-heavy backlog quadratic).
+        while (!port.pending.empty() &&
+               !port.busy.load(std::memory_order_acquire)) {
+            std::size_t n = 0;
+            while (n < port.pending.size() &&
+                   port.pending[n].request.op == core::PortOp::Search)
+                ++n;
+            n = std::min(n + 1, port.pending.size());
+            const auto end =
+                port.pending.begin() + static_cast<std::ptrdiff_t>(n);
+            prefix.assign(std::make_move_iterator(port.pending.begin()),
+                          std::make_move_iterator(end));
+            port.pending.erase(port.pending.begin(), end);
+            // The prefix is older than everything left in pending:
+            // processJobs must run it rather than queue it behind them.
+            processJobs(prefix, index, /*redispatch=*/true);
+            progressed = true;
+        }
     }
     return progressed;
 }
@@ -994,7 +1021,7 @@ ParallelSearchEngine::pendingReady(unsigned index) const
 
 void
 ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
-                                  unsigned index)
+                                  unsigned index, bool redispatch)
 {
     Worker &self = *workers[index];
     std::size_t i = 0;
@@ -1059,11 +1086,13 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
                     // this owner appends to it.)
                     busy_now = false;
                 }
-                if (busy_now || !port.pending.empty()) {
+                if (busy_now || (!redispatch && !port.pending.empty())) {
                     // A hand-off for this port is still in flight (or
                     // older deferred jobs wait behind one): defer the
                     // whole run so the port's FIFO order survives, and
-                    // keep serving the batch's other ports.
+                    // keep serving the batch's other ports.  (A
+                    // re-dispatched prefix ends at its one mutation, so
+                    // nothing of it can be deferred.)
                     for (std::size_t k = i; k <= j; ++k)
                         port.pending.push_back(batch[k]);
                     i = j + 1;
@@ -1235,11 +1264,15 @@ ParallelSearchEngine::bulkLoad(unsigned port,
                                core::InsertOutcome *outcomes,
                                const int *priorities)
 {
-    if (port >= ports.size())
-        fatal(strprintf("bulk load to unknown virtual port %u", port));
-    if (running)
-        fatal("bulkLoad needs a stopped engine: a running port's "
-              "database belongs to its worker thread");
+    if (port >= ports.size() || running) {
+        // A caller error, not an engine fault: reject every record.  (A
+        // running port's database belongs to its executing thread.)
+        if (outcomes != nullptr)
+            std::fill_n(outcomes, records.size(), core::InsertOutcome{});
+        core::InsertBatchSummary rejected;
+        rejected.failed = records.size();
+        return rejected;
+    }
     // Whole-port: a bulk load can touch most of the table, and with
     // the engine stopped no probe can race the bump anyway.
     invalidateCache(port, /*wholePort=*/true);
@@ -1329,12 +1362,8 @@ ParallelSearchEngine::fetchResult(unsigned port)
     if (port >= ports.size())
         return std::nullopt;
     PortState &state = *ports[port];
-    std::lock_guard<std::mutex> lock(state.resultMutex);
-    if (state.results.empty())
-        return std::nullopt;
-    core::PortResponse out = std::move(state.results.front());
-    state.results.pop_front();
-    return out;
+    std::lock_guard<std::mutex> lock(state.fetchMutex);
+    return state.results.tryPop();
 }
 
 core::SearchResult

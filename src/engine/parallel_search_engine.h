@@ -13,16 +13,20 @@
  * worker threads -- port p belongs to worker p % N, so each database
  * is touched by exactly one worker and needs no locking -- with a
  * bounded lock-free request ring per worker (sim::MpmcRing,
- * backpressure-aware), per-port FIFO result streams, and per-port
- * latency/throughput instrumentation.
+ * backpressure-aware), an unbounded lock-free FIFO result stream per
+ * port (sim::SpscBlockQueue), and per-port latency/throughput
+ * instrumentation.
  *
  * Like the paper's per-slice input controllers, the threads share
  * nothing on a request's fast path except the ring slot that carries
- * it.  A submit claims and publishes a slot and reads the owner's
- * doorbell; it takes no lock and notifies nobody unless the owner has
- * parked (sim::Doorbell: an idle worker or writer lane spins ~20 us,
- * then parks; it parks at once when the engine has more threads than
- * the host has cores).  There is no shared in-flight counter: drain()
+ * it and the result slot that carries its response.  A submit claims
+ * and publishes a slot and reads the owner's doorbell; it takes no
+ * lock and notifies nobody unless the owner has parked (sim::Doorbell:
+ * an idle worker or writer lane spins ~20 us, then parks; it parks at
+ * once when the engine has more threads than the host has cores).  A
+ * response is published with one release store of the port's result
+ * count, and fetchResult() takes no lock an executing thread ever
+ * takes.  There is no shared in-flight counter: drain()
  * compares each port's producer-written `submitted` (on a cache line
  * of its own) with its executor-written `completed`, and every
  * executing thread keeps its own wall-clock end stamp.
@@ -81,7 +85,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -280,7 +283,11 @@ struct EngineConfig
  * latency/AMAL aggregates below the counters are NOT atomic: they have
  * exactly one writer at a time (the owner, or the writer lane while
  * the port is handed off -- the two are serialized by the hand-off
- * itself), and they are only meaningful once the engine is drained.
+ * itself, the same rule that makes the port's result stream
+ * single-producer), and they are only meaningful once the engine is
+ * drained.  `completed` advances only after the response is on the
+ * result stream, so it never counts a result fetchResult() cannot
+ * return yet.
  */
 struct PortStats
 {
@@ -462,9 +469,12 @@ class ParallelSearchEngine
     /**
      * Construct @p port's table through the row-ordered bulk ingest
      * pipeline, bypassing the request protocol (no responses, no
-     * stats).  Only valid while the workers are not running -- a
-     * running port's database belongs to its worker thread.  Returns
-     * the ingest summary (row-op economy vs record-at-a-time).
+     * stats).  Returns the ingest summary (row-op economy vs
+     * record-at-a-time).  Only valid while the workers are not running
+     * -- a running port's database belongs to its worker thread.  On a
+     * running engine, or for an unknown @p port, nothing is inserted:
+     * every record is rejected (summary.failed == records.size(), every
+     * outcome ok == false).
      */
     core::InsertBatchSummary bulkLoad(
         unsigned port, std::span<const core::Record> records,
@@ -477,8 +487,16 @@ class ParallelSearchEngine
     /** Drain, close the queues and join the workers. */
     void stop();
 
-    /** Pop the next result of @p port (per-port FIFO order); nullopt
-     *  when there is none or @p port is unknown. */
+    /**
+     * Pop the next result of @p port (per-port FIFO order); nullopt
+     * when there is none or @p port is unknown.  Safe from any thread:
+     * callers take turns on a per-port consumer lock that no executing
+     * thread touches, and the stream itself is lock-free, so a poll
+     * never waits for a worker and a worker never waits for a poll.
+     * Results are unbounded -- they wait however long they go
+     * unfetched -- and every request drain() covered has its result
+     * here when drain() returns.
+     */
     std::optional<core::PortResponse> fetchResult(unsigned port);
 
     /**
@@ -579,8 +597,11 @@ class ParallelSearchEngine
     /** True when some port of @p index has deferred jobs ready to run
      *  (hand-off finished). */
     bool pendingReady(unsigned index) const;
-    /** Run one popped batch through the run-extension loop. */
-    void processJobs(const std::vector<Job> &batch, unsigned index);
+    /** Run one popped batch through the run-extension loop.
+     *  @p redispatch marks a prefix drainPending() took from a port's
+     *  deferred jobs: it runs ahead of the rest of them. */
+    void processJobs(const std::vector<Job> &batch, unsigned index,
+                     bool redispatch = false);
     void execute(const core::PortRequest &request,
                  std::chrono::steady_clock::time_point enqueued,
                  unsigned worker_index);

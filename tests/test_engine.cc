@@ -1962,5 +1962,171 @@ TEST(Engine, LostWakeupStress)
     eng.stop();
 }
 
+TEST(Engine, BulkLoadRejectsUnknownPortAndRunningEngine)
+{
+    // Caller errors reject every record instead of aborting: nothing is
+    // inserted, failed counts the whole batch and every outcome is
+    // ok == false.
+    std::vector<Record> records;
+    for (uint64_t i = 0; i < 20; ++i)
+        records.push_back(Record{Key::fromUint(i * 977 + 5, 32), i});
+    auto expect_rejected = [&](ParallelSearchEngine &eng, unsigned port) {
+        std::vector<core::InsertOutcome> outcomes(
+            records.size(), core::InsertOutcome{true, 1, 0});
+        const core::InsertBatchSummary sum =
+            eng.bulkLoad(port, records, outcomes.data());
+        EXPECT_EQ(sum.failed, records.size());
+        EXPECT_EQ(sum.accepted, 0u);
+        EXPECT_EQ(sum.rowFetches, 0u);
+        for (const core::InsertOutcome &o : outcomes) {
+            EXPECT_FALSE(o.ok);
+            EXPECT_EQ(o.copies, 0u);
+        }
+        // Without an outcome array too.
+        EXPECT_EQ(eng.bulkLoad(port, records).failed, records.size());
+    };
+    auto sys = buildLoaded(2, 0);
+    EngineConfig cfg;
+    cfg.workers = 1;
+    cfg.maintenance = false;
+    ParallelSearchEngine eng(*sys, cfg);
+    expect_rejected(eng, 2);
+    expect_rejected(eng, 1000);
+    eng.start();
+    expect_rejected(eng, 0);
+    EXPECT_EQ(sys->database(0).size(), 0u);
+    // The engine still serves requests after the refusals.
+    EXPECT_TRUE(eng.submit(0, records[0].key, 1));
+    eng.drain();
+    const auto r = eng.fetchResult(0);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_FALSE(r->hit);
+    eng.stop();
+    // A stopped engine accepts the load.
+    EXPECT_EQ(eng.bulkLoad(0, records).accepted, records.size());
+    EXPECT_EQ(sys->database(0).size(), records.size());
+}
+
+TEST(ResultStream, BacklogOf100kSurvivesDrain)
+{
+    // Nothing bounds the unfetched results: 100k responses pile up
+    // while the producer keeps submitting and drain() waits, and then
+    // all of them come out in per-port FIFO order.
+    const auto stream = searchStream(2, 50000);
+    auto serial_sys = buildLoaded(2, 60);
+    const auto reference = serialReference(*serial_sys, stream);
+
+    auto sys = buildLoaded(2, 60);
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.maintenance = false; // migrations would change bucketsAccessed
+    ParallelSearchEngine eng(*sys, cfg);
+    eng.start();
+    ASSERT_EQ(eng.submitBatch(stream), stream.size());
+    eng.drain();
+    EXPECT_EQ(eng.report().completed, stream.size());
+    expectMatchesReference(eng, reference);
+    eng.stop();
+}
+
+TEST(ResultStream, TwoConsumersSeeOwnerAndLaneResponsesInOrder)
+{
+    // One port whose responses alternate between its two producers:
+    // searches run on the owning worker, inserts and erases on the
+    // writer lane.  Two consumer threads fetch while the stream is
+    // still being submitted.  Every tag must arrive exactly once, each
+    // consumer must see its share in submission order, and the merged
+    // stream must match the serial oracle.
+    constexpr std::size_t kRequests = 8000;
+    std::vector<PortRequest> stream;
+    Rng rng(4242);
+    uint64_t last_key = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        PortRequest req;
+        req.port = 0;
+        req.tag = i + 1;
+        switch (i % 4) {
+        case 1:
+            last_key = rng.next64() & 0xffffffffu;
+            req.op = PortOp::Insert;
+            req.key = Key::fromUint(last_key, 32);
+            req.data = i & 0xffff;
+            break;
+        case 3:
+            req.op = PortOp::Erase;
+            req.key = Key::fromUint(last_key, 32);
+            break;
+        default:
+            req.op = PortOp::Search;
+            req.key = Key::fromUint(
+                i % 8 == 2 ? last_key : rng.next64() & 0xffffffffu, 32);
+            break;
+        }
+        stream.push_back(req);
+    }
+    auto serial_sys = buildLoaded(1, 40);
+    const auto reference = serialReference(*serial_sys, stream);
+    ASSERT_EQ(reference[0].size(), kRequests);
+
+    auto sys = buildLoaded(1, 40);
+    EngineConfig cfg;
+    cfg.workers = 1;
+    cfg.concurrentMutation = true;
+    cfg.writerLanes = 1;
+    cfg.maintenance = false; // migrations would change bucketsAccessed
+    ParallelSearchEngine eng(*sys, cfg);
+    ASSERT_TRUE(eng.concurrentMutationActive());
+    eng.start();
+    std::atomic<std::size_t> fetched{0};
+    std::array<std::vector<PortResponse>, 2> got;
+    const auto consume = [&](unsigned me) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (fetched.load(std::memory_order_relaxed) < kRequests) {
+            if (auto r = eng.fetchResult(0)) {
+                got[me].push_back(std::move(*r));
+                fetched.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            if (std::chrono::steady_clock::now() > deadline) {
+                ADD_FAILURE() << "consumer " << me << " stalled";
+                return;
+            }
+            std::this_thread::yield();
+        }
+    };
+    std::thread c0(consume, 0u);
+    std::thread c1(consume, 1u);
+    for (std::size_t next = 0; next < kRequests;) {
+        const std::size_t n =
+            std::min<std::size_t>(1 + rng.below(48), kRequests - next);
+        ASSERT_EQ(eng.submitBatch(std::span<const PortRequest>(
+                      stream.data() + next, n)),
+                  n);
+        next += n;
+    }
+    c0.join();
+    c1.join();
+    eng.drain();
+    EXPECT_FALSE(eng.fetchResult(0).has_value());
+    std::vector<std::optional<PortResponse>> by_tag(kRequests + 1);
+    for (const auto &mine : got) {
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+            const uint64_t tag = mine[i].tag;
+            ASSERT_GE(tag, 1u);
+            ASSERT_LE(tag, kRequests);
+            if (i > 0) {
+                ASSERT_LT(mine[i - 1].tag, tag) << "out of order";
+            }
+            ASSERT_FALSE(by_tag[tag].has_value()) << "tag " << tag;
+            by_tag[tag] = mine[i];
+        }
+    }
+    ASSERT_EQ(got[0].size() + got[1].size(), kRequests);
+    for (std::size_t t = 1; t <= kRequests; ++t)
+        expectSameResponse(*by_tag[t], reference[0][t - 1]);
+    eng.stop();
+}
+
 } // namespace
 } // namespace caram::engine
