@@ -24,21 +24,16 @@
 # against the checked-in baseline.
 #
 # The result-cache section runs ext_parallel_engine, which self-gates
-# on the engine speedup/batching/writer-lane targets and on the hot-key
-# result cache: >= 60% hit rate and >= 1.5x modeled uplift at Zipf
-# s=0.99, bit-identical cached result streams, mixed 90/10 churn with
-# the cache on staying within 10% of the read-only writer-lane
-# throughput, and >= 50% hit rate at Zipf s=0.99 under 90/10 cold-row
-# churn (row-granular invalidation; whole-port generations scored ~0%).
-# Its s=0.99 hit rate, uplift and churn hit rate are also compared
-# against the checked-in baseline (within 10%).
-#
-# The writer-lanes section runs ext_writer_lanes, which self-gates on
-# >= 2x modeled mutation throughput at 4 port-sharded writer lanes vs
-# 1, >= 3x writer row-op reduction from mutation combining on same-row
-# insert bursts, and bit-identity of every result stream against the
-# serial oracle; its 4-lane speedup is also compared against the
-# checked-in baseline.
+# on the engine speedup/batching targets, on owner-executed mutations
+# (90/10 mixed modeled Msps >= 0.95x read-only; mixed wall Msps against
+# read-only at nproc - 2 workers, SKIP below 3 cores) and on the
+# hot-key result cache: >= 60% hit rate and >= 1.5x modeled uplift at
+# Zipf s=0.99, bit-identical cached result streams, mixed 90/10 churn
+# with the cache on staying within 10% of the read-only throughput,
+# and >= 50% hit rate at Zipf s=0.99 under 90/10 cold-row churn
+# (row-granular invalidation; whole-port generations scored ~0%).  Its
+# s=0.99 hit rate, uplift and churn hit rate are also compared against
+# the checked-in baseline (within 10%).
 #
 # The maintenance section runs ext_maintenance, which self-gates on
 # the self-managing online maintenance engine: modeled foreground
@@ -62,11 +57,10 @@
 # (perfbench/run.py, BENCHMARK.json) for 3 s on seed 1 per workload
 # (ip_lpm, engine_uniform, engine_churn_zipf), plus one traced
 # engine_churn_zipf run.  It gates no wall-clock number: a run fails
-# on a nonzero exit, on a result whose "correct" is not true, or on a
-# "scheduling-dependent modeled count" other than
-# engine.writer.staged_runs (the writer lane's one known
-# timing-dependent count).  The driver refuses hosts with fewer than 4
-# cores, so the section is skipped there with a note.  CARAM_* knobs
+# on a nonzero exit, on a result whose "correct" is not true, or on any
+# "scheduling-dependent modeled count" (bench.modeled_sched_dependent
+# must read 0).  The section is skipped with a note on hosts with fewer
+# than 4 cores.  CARAM_* knobs
 # are cleared for these runs: the benchmark measures the defaults.
 #
 # Every bench emits standardized "PASS: " / "FAIL: " gate lines
@@ -85,8 +79,6 @@
 #       --json bench/baselines/BENCH_row_fanout.baseline.json
 #   build/bench/ext_parallel_engine 10000 \
 #       --json bench/baselines/BENCH_result_cache.baseline.json
-#   build/bench/ext_writer_lanes 20000 \
-#       --json bench/baselines/BENCH_writer_lanes.baseline.json
 #   build/bench/ext_prefilter \
 #       --json bench/baselines/BENCH_prefilter.baseline.json
 #   build/bench/ext_maintenance \
@@ -102,7 +94,6 @@ SIMD_BASELINE="bench/baselines/BENCH_simd_batch.baseline.json"
 INGEST_BASELINE="bench/baselines/BENCH_bulk_ingest.baseline.json"
 FANOUT_BASELINE="bench/baselines/BENCH_row_fanout.baseline.json"
 CACHE_BASELINE="bench/baselines/BENCH_result_cache.baseline.json"
-LANES_BASELINE="bench/baselines/BENCH_writer_lanes.baseline.json"
 PREFILTER_BASELINE="bench/baselines/BENCH_prefilter.baseline.json"
 MAINTENANCE_BASELINE="bench/baselines/BENCH_maintenance.baseline.json"
 MAX_REGRESSION="${MAX_REGRESSION:-2.0}"
@@ -111,7 +102,7 @@ LOOKUPS="${LOOKUPS:-100000}"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target micro_match_path \
     ext_bulk_ingest ext_row_fanout ext_parallel_engine \
-    ext_writer_lanes ext_prefilter ext_maintenance
+    ext_prefilter ext_maintenance
 
 LOG_DIR="$BUILD_DIR/bench-logs"
 mkdir -p "$LOG_DIR"
@@ -155,11 +146,6 @@ run_bench result_cache \
     --json "$BUILD_DIR"/BENCH_result_cache.json \
     --baseline "$CACHE_BASELINE"
 
-run_bench writer_lanes \
-    "$BUILD_DIR"/bench/ext_writer_lanes 20000 \
-    --json "$BUILD_DIR"/BENCH_writer_lanes.json \
-    --baseline "$LANES_BASELINE"
-
 run_bench prefilter \
     "$BUILD_DIR"/bench/ext_prefilter \
     --json "$BUILD_DIR"/BENCH_prefilter.json \
@@ -193,8 +179,7 @@ run_perfbench() {
     # Read the run's own output before the verdict lines go after it.
     local result sched
     result="$(tail -n 1 "$log")"
-    sched="$(grep '^scheduling-dependent modeled count: ' "$log" |
-        grep -v 'engine\.writer\.staged_runs' || true)"
+    sched="$(grep '^scheduling-dependent modeled count: ' "$log" || true)"
     {
         if [ "$status" -eq 0 ]; then
             echo "PASS: perfbench $label exited 0"
@@ -207,8 +192,7 @@ run_perfbench() {
             echo "FAIL: perfbench $label result not \"correct\": true"
         fi
         if [ -z "$sched" ]; then
-            echo "PASS: perfbench $label modeled counts repeat" \
-                "(engine.writer.staged_runs aside)"
+            echo "PASS: perfbench $label modeled counts repeat"
         else
             while IFS= read -r line; do
                 echo "FAIL: perfbench $label $line"
@@ -221,8 +205,8 @@ run_perfbench() {
 if [ "$(nproc)" -lt 4 ]; then
     echo
     echo "=== perfbench ==="
-    echo "note: perfbench smoke skipped: the driver needs 4 cores" \
-        "(producer + 2 workers + 1 writer lane), this host has $(nproc)"
+    echo "note: perfbench smoke skipped: it needs 4 cores" \
+        "(producer + 2 workers, one spare), this host has $(nproc)"
 else
     for wl in ip_lpm engine_uniform engine_churn_zipf; do
         run_perfbench "$wl" 0

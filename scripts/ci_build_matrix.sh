@@ -49,19 +49,8 @@
 #      counts pin an explicit false, which always wins over the
 #      environment knob.
 #
-#   7. The SIMD build rerun with CARAM_WRITER_LANES=4 and
-#      CARAM_RESULT_CACHE_ENTRIES=4096: every concurrent-mutation
-#      engine whose config leaves writerLanes unset now shards its
-#      ports across four writer lanes (with writer combining on by
-#      default), and the forced result cache rides along so
-#      row-granular invalidation is exercised against lane-executed
-#      mutations -- the whole suite doubles as a multi-lane
-#      coherence-and-FIFO equivalence sweep.  Tests that need the
-#      single PR 6 lane pin writerLanes = 1 explicitly, which always
-#      wins over the environment knob.
-#
-#   8. The SIMD build rerun with CARAM_MAINTENANCE=1: every
-#      concurrent-mutation engine whose config leaves
+#   7. The SIMD build rerun with CARAM_MAINTENANCE=1: every
+#      threaded engine whose config leaves
 #      EngineConfig::maintenance unset now runs the background
 #      maintenance planner, so spill migration, reach trimming and
 #      overflow adoption race the whole suite's mutation and search
@@ -72,7 +61,7 @@
 #      wins over the environment knob (and inline engines ignore the
 #      knob entirely).
 #
-#   9. A Debug build under AddressSanitizer + UndefinedBehaviorSanitizer
+#   8. A Debug build under AddressSanitizer + UndefinedBehaviorSanitizer
 #      with libstdc++ assertions (-D_GLIBCXX_ASSERTIONS), running the
 #      full suite: catches out-of-bounds and use-after-free accesses the
 #      guard-word row gathers, the atomic_ref row stores and the result
@@ -118,15 +107,11 @@ echo "=== leg 6: SIMD build, pre-filter forced on ==="
 CARAM_PREFILTER=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 7: SIMD build, 4 writer lanes + result cache forced ==="
-CARAM_WRITER_LANES=4 CARAM_RESULT_CACHE_ENTRIES=4096 \
-    ctest --test-dir "$SIMD_DIR" --output-on-failure
-
-echo "=== leg 8: SIMD build, background maintenance forced on ==="
+echo "=== leg 7: SIMD build, background maintenance forced on ==="
 CARAM_MAINTENANCE=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 9: Debug ASan + UBSan + libstdc++ assertions, full ctest ==="
+echo "=== leg 8: Debug ASan + UBSan + libstdc++ assertions, full ctest ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="$SAN_FLAGS -D_GLIBCXX_ASSERTIONS" \

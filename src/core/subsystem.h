@@ -40,8 +40,8 @@ enum class PortOp
     Rebuild,
     /** Engine-internal: one background maintenance step (migrate /
      *  trim / adopt; see engine::MaintenanceEngine).  Rides the port
-     *  request plumbing so the writer lane stays the single mutation
-     *  authority, but produces no PortResponse and never reaches
+     *  request plumbing so the port's owning worker stays the single
+     *  mutation authority, but produces no PortResponse and never reaches
      *  executePortRequest(), which panics on it. */
     Maintenance,
 };

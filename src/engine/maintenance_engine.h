@@ -12,9 +12,10 @@
  * in-DRAM maintenance (SelfManagingDRAM) and PIM hashmaps that overlap
  * housekeeping with lookups (HashMem): a background *planner* thread
  * paces small incremental steps -- and the steps themselves execute on
- * the port's writer lane through the ordinary request plumbing, so the
- * per-port FIFO and the per-row seqlock writer sections remain the
- * single mutation authority.  No drain, no downtime.
+ * the port's owning worker through the ordinary request plumbing, in
+ * the port's FIFO position, so the owner and the per-row seqlock
+ * writer sections remain the single mutation authority.  No drain, no
+ * downtime.
  *
  * One step visits a bounded run of rows and, per row:
  *  - **Migration / hole filling**: a spilled record whose probe chain
@@ -38,7 +39,7 @@
  * a step runs only when the engine is idle or enough foreground
  * operations completed since the last step, and the planner backs off
  * under queue pressure.  Steps charge their modeled row operations to
- * the writer lane's cycle account, so the interference is visible in
+ * the owning worker's cycle account, so the interference is visible in
  * modeled throughput, not hidden.
  *
  * Result-stream invariance: migration and adoption are restricted to
@@ -70,7 +71,7 @@ namespace caram::engine {
 
 class ParallelSearchEngine;
 
-/** Background maintenance planner + lane-side step executor.  Owned by
+/** Background maintenance planner + owner-side step executor.  Owned by
  *  ParallelSearchEngine (one per engine, covering all its ports). */
 class MaintenanceEngine
 {
@@ -91,8 +92,8 @@ class MaintenanceEngine
     MaintenanceEngine(const MaintenanceEngine &) = delete;
     MaintenanceEngine &operator=(const MaintenanceEngine &) = delete;
 
-    /** Spawn the planner thread (call after the engine's workers and
-     *  writer lanes are up). */
+    /** Spawn the planner thread (call after the engine's workers are
+     *  up). */
     void start();
 
     /** Stop and join the planner.  Pending (interrupted) migrations
@@ -102,12 +103,10 @@ class MaintenanceEngine
 
     /**
      * Execute one maintenance step against @p port's database.  Must
-     * run on the port's execution authority (its writer lane, or the
-     * owning worker when concurrentMutation is off) with the port
-     * checked out -- ParallelSearchEngine::execute() routes
-     * PortOp::Maintenance requests here.  Returns the modeled row
+     * run on the port's owning worker -- ParallelSearchEngine::execute()
+     * routes PortOp::Maintenance requests here.  Returns the modeled row
      * operations performed (row scans + slot writes), which the caller
-     * charges to the lane's cycle account.
+     * charges to the worker's cycle account.
      */
     uint64_t executeStep(core::Database &db, unsigned port);
 
@@ -212,7 +211,7 @@ class MaintenanceEngine
     uint64_t lastStepCompleted_ = 0;
     unsigned nextPort_ = 0;
     /** Tick used by the tear-injection hook to interrupt every Nth
-     *  migration mid-step (single writer: the executing lane; ports
+     *  migration mid-step (one step is outstanding at a time; ports
      *  share it so low-traffic legs still exercise the path). */
     std::atomic<uint64_t> migrationTick_{0};
 

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <set>
@@ -65,58 +64,26 @@ struct ParallelSearchEngine::Job
     std::chrono::steady_clock::time_point enqueued;
 };
 
-/** One writer-lane hand-off: a run of same-port non-Search jobs in
- *  submission order.  The receiving writer thread executes it with its
- *  own scratch (the lane's trailing Worker), drains any runs staged
- *  behind it, then clears the port's busy flag and rings the owner. */
-struct ParallelSearchEngine::MutationRun
-{
-    std::vector<Job> jobs;
-};
-
 /** Per-port result stream and instrumentation. */
 struct ParallelSearchEngine::PortState
 {
     /**
-     * The port's responses, in execution (= per-port FIFO) order.  One
-     * thread pushes at a time -- see finishResponse() for who and why.
-     * Consumers (fetchResult(), from any thread) take turns on
-     * fetchMutex, which no executing thread ever touches.
+     * The port's responses, in execution (= per-port FIFO) order, pushed
+     * only by the port's owning worker (or, in inline mode, the
+     * submitting caller).  Consumers (fetchResult(), from any thread)
+     * take turns on fetchMutex, which no worker ever touches.
      */
     sim::SpscBlockQueue<core::PortResponse> results;
     alignas(sim::kCacheLineBytes) std::mutex fetchMutex;
     PortStats stats;
-    /** concurrentMutation hand-off flag: true from the moment the
-     *  owning worker passes a mutation run to the writer lane until the
-     *  writer releases the port.  Set by the owner (release), cleared
-     *  by the writer (release), read by the owner (acquire) -- the
-     *  clear/read pair is what serializes the two threads' access to
-     *  the port's database and non-atomic stats aggregates. */
-    std::atomic<bool> busy{false};
-    /** Jobs deferred while the writer lane holds the port, in
-     *  submission order.  Touched only by the owning worker. */
-    std::deque<Job> pending;
-    /**
-     * Writer-combining staging: mutation runs the owner appended while
-     * the port's lane was already executing a hand-off for it.  The
-     * protocol that makes staging race-free: the owner appends only
-     * after re-checking `busy` under stageMutex, and the lane clears
-     * `busy` under the same mutex only when the staging is empty -- so
-     * every appended run is drained by the current hand-off, in
-     * submission order, before the port is released.  Staging is only
-     * entered while `pending` is empty, so a staged mutation can never
-     * jump ahead of a deferred search.
-     */
-    std::mutex stageMutex;
-    std::deque<MutationRun> staged;
     /** Cached Database::searchBandwidthMsps (bit-cast double), written
      *  by refreshAnalyticBounds() at quiesced points and read by
      *  report() -- the live computation would read non-atomic slice
-     *  load statistics under writer-lane/maintenance mutation. */
+     *  load statistics while a worker mutates the table. */
     std::atomic<uint64_t> analyticBoundBits{0};
     /** Pre-filter consult/skip totals (main + overflow slice), also
      *  snapshot at quiesced points: the counters live on the slice
-     *  object itself, and a lane-executed rebuildSwap replaces that
+     *  object itself, and a worker-executed rebuildSwap replaces that
      *  object under report()'s feet. */
     std::atomic<uint64_t> prefilterProbesSnap{0};
     std::atomic<uint64_t> prefilterSkipsSnap{0};
@@ -131,8 +98,8 @@ struct ParallelSearchEngine::Worker
 {
     explicit Worker(std::size_t capacity) : queue(capacity) {}
     sim::MpmcRing<Job> queue;
-    /** Parked here when the ring is empty and no deferred job is ready;
-     *  producers ring after pushing (notifies only a parked thread). */
+    /** Parked here when the ring is empty; producers ring after
+     *  pushing (notifies only a parked thread). */
     sim::Doorbell bell;
     /** Busy cycles of this worker's modeled input controller.  Atomic
      *  (like the run counters below) because report() sums them while
@@ -148,8 +115,6 @@ struct ParallelSearchEngine::Worker
     std::vector<core::Record> records;
     std::vector<int> priorities;
     std::vector<core::InsertOutcome> outcomes;
-    /** drainPending()'s re-dispatch scratch. */
-    std::vector<Job> redispatch;
     /** Merged row-op accounting of this worker's insert runs, under
      *  ingestMutex (a struct of counters cannot be read atomically). */
     std::mutex ingestMutex;
@@ -157,9 +122,6 @@ struct ParallelSearchEngine::Worker
     /** Run counters (EngineReport). */
     std::atomic<uint64_t> batchedSearchRuns{0};
     std::atomic<uint64_t> batchedInsertRuns{0};
-    /** Mutation runs this worker appended to a busy port's staging
-     *  deque (writer combining) instead of a fresh hand-off. */
-    std::atomic<uint64_t> stagedRuns{0};
     /** Result-cache stamping scratch: candidate-home scratch for
      *  Database::searchRegionMask, and the per-key region masks /
      *  stamps of one batched segment (captured before the slice
@@ -194,18 +156,6 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
         fatal("engine queue capacity must be nonzero");
     if (cfg.drainBatch == 0)
         cfg.drainBatch = 1;
-    if (cfg.workers == 0)
-        cfg.concurrentMutation = false; // inline mode is serial already
-    // Writer lanes: an explicit config value always wins over the
-    // environment; 0 defers to CARAM_WRITER_LANES, unset resolves to
-    // the single PR 6 lane.
-    if (cfg.concurrentMutation) {
-        unsigned lanes = cfg.writerLanes;
-        if (lanes == 0)
-            lanes = static_cast<unsigned>(
-                env("CARAM_WRITER_LANES", 1, kUnsignedMax).value_or(1));
-        writerLaneCount_ = std::clamp(lanes, 1u, 16u);
-    }
     cfg.rowFanoutMaxShards =
         std::clamp(cfg.rowFanoutMaxShards, 1u, kMaxFanoutShards);
     rowFanoutMin_ = cfg.rowFanoutMin;
@@ -253,11 +203,10 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
         maintenance = false;
     if (maintenance)
         maintenance_ = std::make_unique<MaintenanceEngine>(*this);
-    // Idle workers and lanes spin before parking only when every engine
-    // thread, plus one producer, can have a core to itself: a spinner
-    // on a shared core takes time from a thread that has work.
-    const unsigned threads =
-        1 + cfg.workers + writerLaneCount_ + (maintenance ? 1 : 0);
+    // Idle workers spin before parking only when every engine thread,
+    // plus one producer, can have a core to itself: a spinner on a
+    // shared core takes time from a thread that has work.
+    const unsigned threads = 1 + cfg.workers + (maintenance ? 1 : 0);
     if (threads <= std::thread::hardware_concurrency())
         idleSpin_ = sim::Doorbell::kSpin;
     for (std::size_t p = 0; p < sys->databaseCount(); ++p)
@@ -265,18 +214,6 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
     refreshAnalyticBounds(); // pre-thread: nothing can be mutating yet
     for (unsigned w = 0; w < workerCount; ++w)
         workers.push_back(std::make_unique<Worker>(cfg.queueCapacity));
-    if (cfg.concurrentMutation) {
-        for (unsigned l = 0; l < writerLaneCount_; ++l) {
-            writerQueues.push_back(
-                std::make_unique<sim::MpmcRing<MutationRun>>(
-                    std::max<std::size_t>(16, ports.size())));
-            // Each lane's scratch, counters and doorbell live in one
-            // trailing Worker (index workerCount + lane, request ring
-            // unused) so report() folds its modeled cycles and ingest
-            // accounting in unchanged.
-            workers.push_back(std::make_unique<Worker>(1));
-        }
-    }
     wallStart = std::chrono::steady_clock::now();
 }
 
@@ -300,8 +237,6 @@ ParallelSearchEngine::start()
     wallStart = std::chrono::steady_clock::now();
     for (unsigned w = 0; w < cfg.workers; ++w)
         threads.emplace_back([this, w] { workerMain(w); });
-    for (unsigned l = 0; l < writerLaneCount_; ++l)
-        writerThreads.emplace_back([this, l] { writerMain(l); });
     if (maintenance_)
         maintenance_->start();
 }
@@ -327,11 +262,8 @@ ParallelSearchEngine::finishResponse(
     port.stats.latencyLog2Us.add(
         static_cast<uint64_t>(std::floor(std::log2(1.0 + us))));
 
-    // The result stream has one producer at a time: the port's owning
-    // worker; or its writer lane, while the lane holds the port (the
-    // owner's release store of `busy` before the hand-off and its
-    // acquire load of the lane's clear order the two threads' pushes);
-    // or, in inline mode, the submitting caller.  The push precedes the
+    // The result stream has one producer: the port's owning worker (in
+    // inline mode, the submitting caller).  The push precedes the
     // seq_cst `completed` increment below, so a drain() that sees the
     // count is followed by a fetchResult() that sees the response.
     port.results.push(std::move(resp));
@@ -340,9 +272,9 @@ ParallelSearchEngine::finishResponse(
     // completion counters: report() reads `completed` first (acquire,
     // pairing with the release below), so every completion it counts
     // has already published its end stamp, and a mid-run wallMsps can
-    // understate but never inflate the throughput.  Each executing
-    // thread owns its stamp (one writer, so it only grows); report()
-    // takes the max.
+    // understate but never inflate the throughput.  Each worker owns
+    // its stamp (one writer, so it only grows); report() takes the
+    // max.
     workers[worker_index]->wallEndNs.store(
         static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -515,10 +447,9 @@ ParallelSearchEngine::invalidateCache(unsigned port, bool wholePort)
     // bump exactly their regions (rebuilds and bulk loads bump the
     // whole port -- a repack moves records between rows wholesale, so
     // even an untouched region's cached bucketsAccessed could change).
-    // Bumping *after* the mutation is safe because the port's requests
-    // are serialized -- by the owning worker in inline/blocking mode,
-    // and by the busy-flag hand-off under concurrentMutation -- so no
-    // probe of this port can run between the mutation and the bump.
+    // Bumping *after* the mutation is safe because every request of the
+    // port runs on its owning worker (inline: the caller), so no probe
+    // of this port can run between the mutation and the bump.
     // The dirty mask is drained even on the whole-port path so stale
     // bits never leak into a later mutation's bump.
     const uint64_t dirty = sys->database(port).takeDirtyRegionMask();
@@ -536,12 +467,11 @@ ParallelSearchEngine::execute(
     std::chrono::steady_clock::time_point enqueued, unsigned worker_index)
 {
     if (request.op == core::PortOp::Maintenance) {
-        // Engine-internal maintenance step: runs here -- on the port's
-        // execution authority, with the port checked out -- so the
-        // writer lane stays the single mutation authority.  No
-        // response, no per-port stats; the modeled row operations are
-        // charged to the executing thread so the interference shows up
-        // in modeled throughput.
+        // Engine-internal maintenance step: runs here, on the port's
+        // owning worker in the port's FIFO position, so the owner stays
+        // the single mutation authority.  No response, no per-port
+        // stats; the modeled row operations are charged to this worker
+        // so the interference shows up in modeled throughput.
         core::Database &db = sys->database(request.port);
         uint64_t row_ops = 0;
         if (maintenance_ &&
@@ -609,13 +539,11 @@ ParallelSearchEngine::execute(
         cache_stamp =
             resultCache_->captureStamp(request.port, cache_mask);
     }
-    // Under concurrentMutation the engine's epoch domain rides along so
-    // a Rebuild (which only ever executes on the writer lane in that
-    // mode) becomes a non-blocking rebuildSwap; everything else, and
-    // every request in the default mode, behaves exactly as before.
+    // Threaded engines pass their epoch domain, so a Rebuild becomes a
+    // rebuildSwap and a concurrent peek() never reads a half-repacked
+    // slice.  Inline engines have no other thread to protect.
     core::PortResponse resp = core::executePortRequest(
-        req_db, request,
-        cfg.concurrentMutation ? &epochDomain_ : nullptr);
+        req_db, request, cfg.workers > 0 ? &epochDomain_ : nullptr);
     if (request.op != core::PortOp::Search) {
         // Row-granular coherence: the mutation ran, its dirty rows are
         // known -- bump exactly their regions (whole port for Rebuild:
@@ -879,254 +807,47 @@ ParallelSearchEngine::workerMain(unsigned index)
     Worker &self = *workers[index];
     std::vector<Job> batch;
     for (;;) {
-        bool progressed = false;
         if (self.queue.tryPopBatch(batch, cfg.drainBatch) > 0) {
             processJobs(batch, index);
-            progressed = true;
-        }
-        // Jobs deferred behind a writer-lane hand-off whose port has
-        // been released come next (the writer rang this bell).
-        if (drainPending(index))
-            progressed = true;
-        if (progressed)
             continue;
-        if (self.queue.closed() && self.queue.empty() &&
-            !pendingReady(index))
+        }
+        if (self.queue.closed() && self.queue.empty())
             break;
-        // Nothing anywhere: spin (idleSpin_), then park on the
-        // doorbell.  Every source the predicate reads is published
-        // seq_cst before its publisher rings (submits, writer-lane
-        // releases, stop()).
+        // Nothing queued: spin (idleSpin_), then park on the doorbell.
+        // Every source the predicate reads is published seq_cst before
+        // its publisher rings (submits, stop()).
         self.bell.wait(
-            [&] {
-                return !self.queue.empty() || self.queue.closed() ||
-                       pendingReady(index);
-            },
+            [&] { return !self.queue.empty() || self.queue.closed(); },
             idleSpin_);
     }
 }
 
 void
-ParallelSearchEngine::writerMain(unsigned lane)
-{
-    auto &queue = *writerQueues[lane];
-    const unsigned scratch_index = workerCount + lane;
-    Worker &self = *workers[scratch_index];
-    std::vector<MutationRun> runs;
-    for (;;) {
-        if (queue.tryPopBatch(runs, cfg.drainBatch) == 0) {
-            if (queue.closed() && queue.empty())
-                break; // closed and drained
-            self.bell.wait(
-                [&] { return !queue.empty() || queue.closed(); },
-                idleSpin_);
-            continue;
-        }
-        for (MutationRun &run : runs)
-            runMutation(run, scratch_index);
-    }
-}
-
-void
-ParallelSearchEngine::runMutation(MutationRun &run, unsigned scratch_index)
-{
-    const unsigned port_no = run.jobs[0].request.port;
-    PortState &port = *ports[port_no];
-    // Execute with this lane's own scratch and counters (its
-    // trailing Worker) through the normal run loop -- consecutive
-    // Insert jobs still combine into one bulk ingest.  While the
-    // port is checked out the owner may stage follow-up mutation
-    // runs directly onto it; drain the staging deque until it is
-    // empty at the moment the busy flag drops.  Both sides hold
-    // stageMutex -- an owner that saw busy re-checks under the
-    // mutex before appending, so no staged run can be stranded
-    // behind a cleared flag.
-    std::vector<Job> jobs = std::move(run.jobs);
-    for (;;) {
-        processJobs(jobs, scratch_index);
-        jobs.clear();
-        {
-            std::lock_guard<std::mutex> lock(port.stageMutex);
-            if (port.staged.empty()) {
-                // seq_cst: the owner's doorbell predicate
-                // (pendingReady) re-checks this flag.
-                port.busy.store(false, std::memory_order_seq_cst);
-                break;
-            }
-            // Concatenate every staged run into one batch: the
-            // run loop re-splits it, and adjacent same-port insert
-            // runs combine into a single bulk ingest.
-            while (!port.staged.empty()) {
-                MutationRun &next = port.staged.front();
-                jobs.insert(
-                    jobs.end(),
-                    std::make_move_iterator(next.jobs.begin()),
-                    std::make_move_iterator(next.jobs.end()));
-                port.staged.pop_front();
-            }
-        }
-    }
-    ring(workerOf(port_no));
-}
-
-bool
-ParallelSearchEngine::drainPending(unsigned index)
-{
-    if (!cfg.concurrentMutation)
-        return false;
-    bool progressed = false;
-    std::vector<Job> &prefix = workers[index]->redispatch;
-    for (std::size_t p = index; p < ports.size(); p += workerCount) {
-        PortState &port = *ports[p];
-        // Re-dispatch the deferred jobs one prefix at a time: the
-        // searches up to and including the next mutation, which hands
-        // the port off again and ends the loop.  The jobs behind it
-        // stay in pending, untouched, so each deferred job is moved
-        // exactly once (re-running the whole deque after every
-        // hand-off made a mutation-heavy backlog quadratic).
-        while (!port.pending.empty() &&
-               !port.busy.load(std::memory_order_acquire)) {
-            std::size_t n = 0;
-            while (n < port.pending.size() &&
-                   port.pending[n].request.op == core::PortOp::Search)
-                ++n;
-            n = std::min(n + 1, port.pending.size());
-            const auto end =
-                port.pending.begin() + static_cast<std::ptrdiff_t>(n);
-            prefix.assign(std::make_move_iterator(port.pending.begin()),
-                          std::make_move_iterator(end));
-            port.pending.erase(port.pending.begin(), end);
-            // The prefix is older than everything left in pending:
-            // processJobs must run it rather than queue it behind them.
-            processJobs(prefix, index, /*redispatch=*/true);
-            progressed = true;
-        }
-    }
-    return progressed;
-}
-
-bool
-ParallelSearchEngine::pendingReady(unsigned index) const
-{
-    if (!cfg.concurrentMutation)
-        return false;
-    for (std::size_t p = index; p < ports.size(); p += workerCount) {
-        const PortState &port = *ports[p];
-        if (!port.pending.empty() &&
-            !port.busy.load(std::memory_order_seq_cst))
-            return true;
-    }
-    return false;
-}
-
-void
 ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
-                                  unsigned index, bool redispatch)
+                                  unsigned index)
 {
-    Worker &self = *workers[index];
     std::size_t i = 0;
-    {
-        while (i < batch.size()) {
-            // Extend a run of same-port searches -- or same-port
-            // inserts -- up to batchSize; any other request (or a port
-            // change) flushes the run, so mutations never reorder
-            // against the requests around them.
-            std::size_t j = i;
-            const core::PortOp op = batch[i].request.op;
-            // Writer lanes (index >= workerCount) execute what they
-            // are handed; with combining on they extend insert runs
-            // without the batchSize cap so a whole drained backlog
-            // becomes one bulk ingest (one row fetch + one seqlock
-            // writer section per distinct row).
-            const bool writer_lane = index >= workerCount;
-            const bool combine = writer_lane && cfg.writerCombining &&
-                                 op == core::PortOp::Insert;
-            if ((cfg.batchSize > 1 || combine) &&
-                (op == core::PortOp::Search ||
-                 op == core::PortOp::Insert)) {
-                while (j + 1 < batch.size() &&
-                       (combine || j + 1 - i < cfg.batchSize) &&
-                       batch[j + 1].request.op == op &&
-                       batch[j + 1].request.port ==
-                           batch[i].request.port)
-                    ++j;
-            }
-            // Writer-lane routing (only owning workers route).
-            if (cfg.concurrentMutation && !writer_lane) {
-                PortState &port = *ports[batch[i].request.port];
-                bool busy_now =
-                    port.busy.load(std::memory_order_acquire);
-                if (busy_now && op != core::PortOp::Search &&
-                    cfg.writerCombining && port.pending.empty()) {
-                    // The port is checked out to its writer lane and
-                    // nothing older is deferred: stage the mutations
-                    // directly onto the lane instead of parking them.
-                    // The lane drains staging before releasing the
-                    // port, so the run still executes in FIFO
-                    // position.  Re-check busy under stageMutex -- the
-                    // lane clears the flag under the same mutex only
-                    // when staging is empty, so an append here is
-                    // guaranteed to be seen.
-                    std::lock_guard<std::mutex> lock(port.stageMutex);
-                    if (port.busy.load(std::memory_order_acquire)) {
-                        MutationRun run;
-                        run.jobs.assign(
-                            batch.begin() +
-                                static_cast<std::ptrdiff_t>(i),
-                            batch.begin() +
-                                static_cast<std::ptrdiff_t>(j) + 1);
-                        port.staged.push_back(std::move(run));
-                        self.stagedRuns.fetch_add(
-                            1, std::memory_order_relaxed);
-                        i = j + 1;
-                        continue;
-                    }
-                    // Lane released the port between the loads: hand
-                    // off fresh below.  (pending stays empty -- only
-                    // this owner appends to it.)
-                    busy_now = false;
-                }
-                if (busy_now || (!redispatch && !port.pending.empty())) {
-                    // A hand-off for this port is still in flight (or
-                    // older deferred jobs wait behind one): defer the
-                    // whole run so the port's FIFO order survives, and
-                    // keep serving the batch's other ports.  (A
-                    // re-dispatched prefix ends at its one mutation, so
-                    // nothing of it can be deferred.)
-                    for (std::size_t k = i; k <= j; ++k)
-                        port.pending.push_back(batch[k]);
-                    i = j + 1;
-                    continue;
-                }
-                if (op != core::PortOp::Search) {
-                    // Hand the mutation run to the port's writer lane
-                    // and move on to the next run instead of stalling.
-                    MutationRun run;
-                    run.jobs.assign(batch.begin() +
-                                        static_cast<std::ptrdiff_t>(i),
-                                    batch.begin() +
-                                        static_cast<std::ptrdiff_t>(j) +
-                                        1);
-                    port.busy.store(true, std::memory_order_release);
-                    const unsigned lane = laneOf(batch[i].request.port);
-                    if (writerQueues[lane]->push(std::move(run))) {
-                        ring(workerCount + lane);
-                        i = j + 1;
-                        continue;
-                    }
-                    // Queue closed (a stop() raced a straggler): fall
-                    // through and execute the run right here.
-                    port.busy.store(false, std::memory_order_release);
-                }
-            }
-            if (j > i && op == core::PortOp::Search)
-                executeSearchRun(batch.data() + i, j - i + 1, index);
-            else if (j > i)
-                executeInsertRun(batch.data() + i, j - i + 1, index);
-            else
-                execute(batch[i].request, batch[i].enqueued, index);
-            i = j + 1;
+    while (i < batch.size()) {
+        // Extend a run of same-port searches -- or same-port inserts --
+        // up to batchSize; any other request (or a port change) flushes
+        // the run, so mutations never reorder against the requests
+        // around them.
+        std::size_t j = i;
+        const core::PortOp op = batch[i].request.op;
+        if (cfg.batchSize > 1 &&
+            (op == core::PortOp::Search || op == core::PortOp::Insert)) {
+            while (j + 1 < batch.size() && j + 1 - i < cfg.batchSize &&
+                   batch[j + 1].request.op == op &&
+                   batch[j + 1].request.port == batch[i].request.port)
+                ++j;
         }
+        if (j > i && op == core::PortOp::Search)
+            executeSearchRun(batch.data() + i, j - i + 1, index);
+        else if (j > i)
+            executeInsertRun(batch.data() + i, j - i + 1, index);
+        else
+            execute(batch[i].request, batch[i].enqueued, index);
+        i = j + 1;
     }
     wakeDrain();
 }
@@ -1336,16 +1057,11 @@ ParallelSearchEngine::stop()
     stopped = true;
     for (auto &w : workers)
         w->queue.close();
-    for (auto &q : writerQueues)
-        q->close(); // drained already: writer lanes are idle
     for (unsigned w = 0; w < workers.size(); ++w)
-        ring(w); // wake parked workers and lanes so they observe close
+        ring(w); // wake parked workers so they observe close
     for (std::thread &t : threads)
         t.join();
     threads.clear();
-    for (std::thread &t : writerThreads)
-        t.join();
-    writerThreads.clear();
     running = false;
     // With every execution thread joined, retire any migration the
     // tear hook left half-done so the stopped tables hold exactly one
@@ -1370,7 +1086,7 @@ core::SearchResult
 ParallelSearchEngine::peek(unsigned port, const Key &key) const
 {
     if (port >= ports.size())
-        fatal(strprintf("peek at unknown virtual port %u", port));
+        return {}; // a caller error: no such port, so no record
     // Thread-local scratch: peek() may run on any number of threads at
     // once, and the scratch re-sizes itself to each call's row shape.
     static thread_local core::CaRamSlice::ConcurrentSearchScratch scratch;
@@ -1393,11 +1109,10 @@ ParallelSearchEngine::report() const
 {
     EngineReport out;
     out.workers = workerCount;
-    out.writerLanes = writerLaneCount_;
     uint64_t total_cycles = 0;
     uint64_t max_cycles = 0;
-    for (std::size_t wi = 0; wi < workers.size(); ++wi) {
-        Worker &w = *workers[wi];
+    for (const auto &wp : workers) {
+        Worker &w = *wp;
         const uint64_t wc =
             w.modeledCycles.load(std::memory_order_relaxed);
         total_cycles += wc;
@@ -1406,16 +1121,9 @@ ParallelSearchEngine::report() const
             w.batchedSearchRuns.load(std::memory_order_relaxed);
         out.batchedInsertRuns +=
             w.batchedInsertRuns.load(std::memory_order_relaxed);
-        out.stagedMutationRuns +=
-            w.stagedRuns.load(std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(w.ingestMutex);
             out.ingest.merge(w.ingest);
-            // Trailing Workers are writer-lane scratch: break their
-            // ingest numbers out separately so the combining economy
-            // (rows fetched vs the serial controller) is visible.
-            if (wi >= workerCount)
-                out.writerIngest.merge(w.ingest);
         }
         out.fanoutLookups +=
             w.fanoutLookups.load(std::memory_order_relaxed);
@@ -1424,12 +1132,11 @@ ParallelSearchEngine::report() const
         out.fanoutSerialFallbacks +=
             w.fanoutSerialFallbacks.load(std::memory_order_relaxed);
     }
-    out.writerRowFetches = out.writerIngest.rowFetches;
-    out.writerSerialRowFetches = out.writerIngest.serialRowFetches;
-    out.rowsCombined =
-        out.writerSerialRowFetches > out.writerRowFetches
-            ? out.writerSerialRowFetches - out.writerRowFetches
-            : 0;
+    out.writerRowFetches = out.ingest.rowFetches;
+    out.rowsCombined = out.ingest.serialRowFetches > out.ingest.rowFetches
+                           ? out.ingest.serialRowFetches -
+                                 out.ingest.rowFetches
+                           : 0;
     // `completed` before the end stamps: each completion publishes its
     // thread's end stamp before incrementing completed
     // (finishResponse), so the stamps read below cover every completion
@@ -1465,8 +1172,7 @@ ParallelSearchEngine::report() const
         // Inline mode computes the bound live (the caller is the only
         // execution authority); threaded engines read the snapshot
         // from the last quiesced point -- the live computation walks
-        // non-atomic load statistics that lanes and maintenance steps
-        // mutate.
+        // non-atomic load statistics that the workers mutate.
         if (cfg.workers == 0) {
             out.analyticBoundMsps += db.searchBandwidthMsps(cfg.timing);
             out.prefilterProbes += db.slice().prefilterProbes();

@@ -22,14 +22,27 @@
  * it and the result slot that carries its response.  A submit claims
  * and publishes a slot and reads the owner's doorbell; it takes no
  * lock and notifies nobody unless the owner has parked (sim::Doorbell:
- * an idle worker or writer lane spins ~20 us, then parks; it parks at
- * once when the engine has more threads than the host has cores).  A
- * response is published with one release store of the port's result
- * count, and fetchResult() takes no lock an executing thread ever
- * takes.  There is no shared in-flight counter: drain()
- * compares each port's producer-written `submitted` (on a cache line
- * of its own) with its executor-written `completed`, and every
- * executing thread keeps its own wall-clock end stamp.
+ * an idle worker spins ~20 us, then parks; it parks at once when the
+ * engine has more threads than the host has cores).  A response is
+ * published with one release store of the port's result count, and
+ * fetchResult() takes no lock an executing thread ever takes.  There
+ * is no shared in-flight counter: drain() compares each port's
+ * producer-written `submitted` (on a cache line of its own) with its
+ * executor-written `completed`, and every worker keeps its own
+ * wall-clock end stamp.
+ *
+ * Owner-executed mutations: every request of a port -- Search, Insert,
+ * Erase, Rebuild, and the maintenance planner's internal steps -- runs
+ * on the port's owning worker, in the port's FIFO position, the way
+ * the paper's input controller owns every access to its slice (section
+ * 3.4).  A mutation is just one more request in the port's ring, its
+ * modeled cycles are charged to that port's controller, and the
+ * port's later searches never wait on another thread.  peek() readers
+ * are the one thing that can run beside a mutation: threaded engines
+ * route Rebuild through Database::rebuildSwap() under the engine's
+ * epoch domain, and inserts/erases write rows inside per-row seqlock
+ * sections, so a concurrent peek() never reads a torn row or a
+ * half-repacked slice.
  *
  * Throughput is accounted in *modeled* memory cycles: each worker is an
  * independent input controller whose lookups occupy its bank for
@@ -58,15 +71,6 @@
  * result streams stay
  * bit-identical to the uncached engine on every stream, including
  * mixed mutation streams.
- *
- * EngineConfig::concurrentMutation routes mutations to dedicated
- * writer lanes (EngineConfig::writerLanes, port % lanes) so
- * independent ports' writes proceed in parallel with each other and
- * with every port's searches; EngineConfig::writerCombining lets a
- * lane absorb runs that arrive while their port is already mutating
- * into a per-port staging deque and apply them as wider row-ordered
- * insertBatch calls -- one row fetch + one seqlock writer section per
- * distinct row -- still in exact submission order.
  *
  * EngineConfig::rowFanoutMin additionally models *intra-lookup*
  * parallelism: a lookup whose ternary key duplicates across many home
@@ -162,57 +166,6 @@ struct EngineConfig
     unsigned rowFanoutMaxShards = 8;
 
     /**
-     * Non-blocking mutations: route every Insert/Erase/Rebuild run to a
-     * dedicated writer thread instead of executing it on the
-     * port-owning worker.  The worker keeps serving its other ports'
-     * Search runs while the mutation is in flight; the mutating port's
-     * own requests are deferred (per-port FIFO response order is
-     * preserved exactly) until the writer finishes and rings the owner.
-     * Rebuilds route through Database::rebuildSwap() under the engine's
-     * epoch domain, so peek() readers are never stalled and never
-     * observe a half-repacked slice.  Result streams stay bit-identical
-     * to the blocking path -- only *when* the work runs changes, not
-     * what it computes.  On by default since the PR 6 bench gate
-     * soaked (mixed 90/10 search throughput within 10% of read-only);
-     * set false to select the old blocking in-run path.  Ignored in
-     * inline mode (workers == 0), which is serial by construction.
-     */
-    bool concurrentMutation = true;
-
-    /**
-     * Port-sharded writer lanes: the number of dedicated writer
-     * threads mutations are spread across under concurrentMutation.
-     * Ports map to lanes by the same modulo hash that maps ports to
-     * workers (port % lanes), so one port's mutations always execute
-     * on one lane -- per-port FIFO and the busy-flag/doorbell hand-off
-     * protocol are untouched -- while independent ports' mutations no
-     * longer serialize on a single writer thread.  0 (the default)
-     * defers to the CARAM_WRITER_LANES environment variable, re-read
-     * at each engine's construction like CARAM_ROW_FANOUT_MIN (see
-     * resolvedWriterLanes()); unset resolves to 1, the PR 6 single
-     * writer lane.  Clamped to [1, 16]; ignored when
-     * concurrentMutation is off or in inline mode.
-     */
-    unsigned writerLanes = 0;
-
-    /**
-     * Writer-lane combining: while a port's mutation run executes on
-     * its writer lane, further mutation runs arriving for that port
-     * are appended to a per-port staging deque instead of a new queue
-     * hand-off; the lane drains the staging before releasing the port
-     * and concatenates consecutive same-op jobs into wider
-     * Database::insertBatch calls, so same-row mutations cost one row
-     * fetch + one seqlock writer section per *distinct* row
-     * (insertBatch's simulate-then-apply machinery).  Submission order
-     * is preserved exactly -- staged runs execute on the same lane, in
-     * arrival order, before any later request of the port -- so the
-     * stored table and the response stream stay bit-identical to
-     * serial execution.  The row-op economy is surfaced in the
-     * report's writerIngest/rowsCombined fields.
-     */
-    bool writerCombining = true;
-
-    /**
      * Hot-key result cache: total entry budget of the front-side
      * ResultCache (see result_cache.h).  A Search whose exact key
      * (value, care, width) was answered since the last mutation that
@@ -254,10 +207,10 @@ struct EngineConfig
      * migrating spilled records toward their home buckets as erase
      * holes open, trimming hollowed-out overflow reaches, and adopting
      * overflow-slice records back into the main table -- while
-     * searches and the writer lanes keep running.  Every step rides
-     * the existing mutation machinery (submitted as an internal
-     * request to the port's writer lane, reclaimed through the epoch
-     * domain, invalidating only the dirtied cache regions), so result
+     * searches and mutations keep running.  Every step rides the
+     * ordinary request machinery (an internal request queued to the
+     * port's owning worker, reclaimed through the epoch domain,
+     * invalidating only the dirtied cache regions), so result
      * streams stay bit-identical to a maintenance-free engine for
      * keyed (unique fully-specified key) tables; see DESIGN.md
      * section 4f for the interference-arbitration budget and the
@@ -274,18 +227,14 @@ struct EngineConfig
 
 /**
  * Per-port instrumentation.  The counters are atomic because they are
- * written from the producer (`submitted`), the port's executing thread
- * (its owning worker, or the writer lane under
- * EngineConfig::concurrentMutation) and read live by report()/
- * portStats() -- reading them mid-run is race-free and each value is
- * individually consistent.  `submitted` has a cache line to itself so
- * the producer's write never contends with the executor's.  The
- * latency/AMAL aggregates below the counters are NOT atomic: they have
- * exactly one writer at a time (the owner, or the writer lane while
- * the port is handed off -- the two are serialized by the hand-off
- * itself, the same rule that makes the port's result stream
- * single-producer), and they are only meaningful once the engine is
- * drained.  `completed` advances only after the response is on the
+ * written from the producer (`submitted`) and the port's owning worker,
+ * and read live by report()/portStats() -- reading them mid-run is
+ * race-free and each value is individually consistent.  `submitted`
+ * has a cache line to itself so the producer's write never contends
+ * with the owner's.  The latency/AMAL aggregates below the counters are
+ * NOT atomic: their one writer is the owning worker (the same rule that
+ * makes the port's result stream single-producer), and they are only
+ * meaningful once the engine is drained.  `completed` advances only after the response is on the
  * result stream, so it never counts a result fetchResult() cannot
  * return yet.
  */
@@ -328,7 +277,8 @@ struct EngineReport
     /** Sum of Database::searchBandwidthMsps over the served ports.
      *  Sampled at quiesced points (construction, drain(), stop()) --
      *  not live -- because the bound reads non-atomic load statistics
-     *  that writer lanes and maintenance steps mutate; report() itself
+     *  that the workers' mutations and maintenance steps change;
+     *  report() itself
      *  stays safe to call any time.  Inline engines (workers == 0)
      *  compute it live: the caller is the only execution authority. */
     double analyticBoundMsps = 0.0;
@@ -341,23 +291,14 @@ struct EngineReport
     uint64_t batchedInsertRuns = 0;
     /** Merged row-op accounting of every batched insert run. */
     core::InsertBatchSummary ingest;
-    /** Writer lanes serving mutations (0 = blocking/inline path). */
-    unsigned writerLanes = 0;
-    /** Mutation runs appended to a busy port's staging deque instead
-     *  of a fresh queue hand-off (writer combining). */
+    /** Always 0 (mutations run on the owning worker); perfbench reads
+     *  it. */
     uint64_t stagedMutationRuns = 0;
-    /** Row-op accounting of the writer lanes' insert batches only (a
-     *  subset of `ingest`): combining widens these batches, so
-     *  rowFetches here measures the combined write path. */
-    core::InsertBatchSummary writerIngest;
-    /** writerIngest.rowFetches -- rows the writer lanes actually
-     *  fetched, after same-row combining. */
+    /** ingest.rowFetches: rows the insert runs actually fetched;
+     *  perfbench reads it. */
     uint64_t writerRowFetches = 0;
-    /** Rows a record-at-a-time writer would have fetched for the same
-     *  inserts (writerIngest.serialRowFetches). */
-    uint64_t writerSerialRowFetches = 0;
-    /** Row fetches combining saved the writer lanes
-     *  (writerSerialRowFetches - writerRowFetches). */
+    /** Row fetches insert-run batching saved (ingest.serialRowFetches -
+     *  ingest.rowFetches); perfbench reads it. */
     uint64_t rowsCombined = 0;
     /** Lookups routed through the intra-lookup row fan-out. */
     uint64_t fanoutLookups = 0;
@@ -382,13 +323,13 @@ struct EngineReport
      *  databases (main + overflow slices).  Like analyticBoundMsps,
      *  threaded engines sample these two counters at quiesced points
      *  (construction, drain(), stop()): they live on the slice object,
-     *  which a lane-executed rebuild replaces.  Inline engines read
+     *  which a threaded engine's rebuildSwap replaces.  Inline engines read
      *  them live. */
     uint64_t prefilterProbes = 0;
     /** Consulted rows the filter proved unable to match -- fetches
      *  (and their modeled cycles) that were never issued. */
     uint64_t prefilterSkips = 0;
-    /** Maintenance steps executed on the writer lanes (0 when
+    /** Maintenance steps executed on the owning workers (0 when
      *  EngineConfig::maintenance is off). */
     uint64_t maintenanceSteps = 0;
     /** Full table sweeps the maintenance engine completed. */
@@ -502,13 +443,14 @@ class ParallelSearchEngine
     /**
      * Out-of-band wait-free lookup against @p port's live table from
      * any thread, without queueing a request: the caller's answer to
-     * "is this key searchable right now?" while the engine (and, under
-     * EngineConfig::concurrentMutation, the writer lane) keeps running.
-     * Reads travel the seqlock'd row-snapshot path
-     * (Database::searchConcurrent) under the engine's epoch domain, so
-     * a concurrent insert/erase/rebuildSwap can never tear the read or
-     * free the slice mid-lookup.  Probing databases only (fatal
-     * otherwise); returns a miss while the database is in retention.
+     * "is this key searchable right now?" while the workers keep
+     * executing the port's searches and mutations.  Reads travel the
+     * seqlock'd row-snapshot path (Database::searchConcurrent) under
+     * the engine's epoch domain, so a concurrent insert/erase/
+     * rebuildSwap can never tear the read or free the slice
+     * mid-lookup.  Probing databases only (fatal otherwise); returns a
+     * miss while the database is in retention or when @p port is not
+     * a port of the subsystem.
      * No engine or slice counters are advanced and no response is
      * queued -- peek() is invisible to stats and FIFO streams.
      */
@@ -537,25 +479,13 @@ class ParallelSearchEngine
      *  false in inline mode). */
     bool resolvedMaintenance() const { return maintenance_ != nullptr; }
 
-    /** True when mutations route through the writer lanes (the config
-     *  flag after the inline-mode override -- workers == 0 forces the
-     *  serial path regardless of the default). */
-    bool concurrentMutationActive() const
-    {
-        return cfg.concurrentMutation;
-    }
+    /** Always false: every mutation runs on its port's owning worker.
+     *  perfbench reads it. */
+    bool concurrentMutationActive() const { return false; }
 
-    /** The writer-lane count this engine resolved at construction
-     *  (config value, or CARAM_WRITER_LANES read at that moment;
-     *  0 when mutations do not route through writer lanes). */
-    unsigned resolvedWriterLanes() const { return writerLaneCount_; }
-
-    /** Writer lane that serves @p port's mutations (lanes active
-     *  only). */
-    unsigned laneOf(unsigned port) const
-    {
-        return port % writerLaneCount_;
-    }
+    /** Always 0: the engine has no writer threads.  perfbench reads
+     *  it. */
+    unsigned resolvedWriterLanes() const { return 0; }
 
     /** Aggregate throughput/latency accounting for the run so far. */
     EngineReport report() const;
@@ -570,7 +500,6 @@ class ParallelSearchEngine
     struct Worker;
 
     struct Job;
-    struct MutationRun;
 
     /** Shared body of every submit: blocking push when @p block,
      *  otherwise false on a full ring.  Rings the owner after the push
@@ -578,15 +507,6 @@ class ParallelSearchEngine
     bool enqueue(const core::PortRequest &request, bool block,
                  bool ringNow = true);
     void workerMain(unsigned index);
-    /** Writer-lane thread body (concurrentMutation only). */
-    void writerMain(unsigned lane);
-    /** Execute one hand-off on a writer lane (@p scratch_index is the
-     *  lane's trailing Worker), drain the port's staged runs, release
-     *  the port and ring its owner. */
-    void runMutation(MutationRun &run, unsigned scratch_index);
-    /** Re-dispatch deferred jobs of @p index's ports whose writer-lane
-     *  hand-off has completed.  Returns true when any job ran. */
-    bool drainPending(unsigned index);
     /** Recompute each port's cached analytic search-bandwidth bound
      *  and pre-filter probe/skip totals.  Only callable while no
      *  execution thread can be mutating the databases (construction,
@@ -594,14 +514,9 @@ class ParallelSearchEngine
      *  bound reads non-atomic slice load statistics, and the counters
      *  live on slice objects that rebuilds replace. */
     void refreshAnalyticBounds();
-    /** True when some port of @p index has deferred jobs ready to run
-     *  (hand-off finished). */
-    bool pendingReady(unsigned index) const;
-    /** Run one popped batch through the run-extension loop.
-     *  @p redispatch marks a prefix drainPending() took from a port's
-     *  deferred jobs: it runs ahead of the rest of them. */
-    void processJobs(const std::vector<Job> &batch, unsigned index,
-                     bool redispatch = false);
+    /** Run one popped batch through the run-extension loop, every
+     *  request in FIFO position on worker @p index. */
+    void processJobs(const std::vector<Job> &batch, unsigned index);
     void execute(const core::PortRequest &request,
                  std::chrono::steady_clock::time_point enqueued,
                  unsigned worker_index);
@@ -625,8 +540,8 @@ class ParallelSearchEngine
                              std::chrono::steady_clock::time_point
                                  enqueued,
                              unsigned worker_index);
-    /** Ring the doorbell of worker or lane @p index (workers[index]);
-     *  notifies only if that thread has parked. */
+    /** Ring the doorbell of worker @p index; notifies only if that
+     *  thread has parked. */
     void ring(unsigned index);
     /** Execute @p count same-port Insert jobs as one bulk ingest. */
     void executeInsertRun(const Job *jobs, std::size_t count,
@@ -644,12 +559,12 @@ class ParallelSearchEngine
     /** Invalidate @p port's cached entries after a mutation run
      *  executed: region-granular when the mutation's dirty-row mask
      *  allows it, whole-port otherwise (@p wholePort, used by Rebuild
-     *  and bulk loads).  The port's own requests are serialized by the
-     *  busy-flag hand-off, so bumping after the mutation is safe: no
-     *  probe of this port can run in between. */
+     *  and bulk loads).  The port's own requests all run on its owning
+     *  worker, so bumping after the mutation is safe: no probe of this
+     *  port can run in between. */
     void invalidateCache(unsigned port, bool wholePort);
     /** Publish one finished response: stats, latency, result stream,
-     *  and the executing thread's (@p worker_index) wall end stamp. */
+     *  and worker @p worker_index's wall end stamp. */
     void finishResponse(core::PortResponse resp,
                         std::chrono::steady_clock::time_point enqueued,
                         unsigned worker_index);
@@ -657,8 +572,8 @@ class ParallelSearchEngine
      *  not yet executed (drain()'s predicate, the planner's backoff
      *  signal). */
     uint64_t inflightCount() const;
-    /** Ring drainCv if a drain() is waiting; executing threads call it
-     *  after each batch, producers after a rolled-back submit. */
+    /** Ring drainCv if a drain() is waiting; workers call it after
+     *  each batch, producers after a rolled-back submit. */
     void wakeDrain();
     /** Enqueue one internal PortOp::Maintenance request for @p port
      *  (called by the maintenance planner thread; non-blocking --
@@ -679,22 +594,14 @@ class ParallelSearchEngine
     bool prefilter_ = false;
     /** Hot-key result cache (null = off; see resultCacheEntries). */
     std::unique_ptr<ResultCache> resultCache_;
-    /** Resolved writer-lane count (config, or CARAM_WRITER_LANES);
-     *  0 when mutations do not route through writer lanes. */
-    unsigned writerLaneCount_ = 0;
-    /** How long an idle worker or lane spins before it parks:
+    /** How long an idle worker spins before it parks:
      *  sim::Doorbell::kSpin when the engine's threads fit the host's
      *  cores, else zero. */
     std::chrono::microseconds idleSpin_{0};
-    /** Per-lane hand-off rings (concurrentMutation only). */
-    std::vector<std::unique_ptr<sim::MpmcRing<MutationRun>>> writerQueues;
     std::vector<std::unique_ptr<PortState>> ports;
-    /** One per worker thread, plus one trailing scratch set per writer
-     *  lane when concurrentMutation is on (indices workerCount ..
-     *  workerCount + lanes - 1). */
+    /** One per sharding group (workerCount). */
     std::vector<std::unique_ptr<Worker>> workers;
     std::vector<std::thread> threads;
-    std::vector<std::thread> writerThreads;
     /** Grace-period domain for rebuildSwap() retirements; peek()
      *  readers pin it for the duration of their lookup (mutable: a
      *  read-side pin mutates only the domain's bookkeeping, never the
@@ -703,14 +610,14 @@ class ParallelSearchEngine
     /** Background maintenance (null = off; see
      *  EngineConfig::maintenance).  Its planner thread paces
      *  submitMaintenanceStep(); the steps themselves execute on the
-     *  writer lanes like any other mutation. */
+     *  ports' owning workers like any other mutation. */
     std::unique_ptr<MaintenanceEngine> maintenance_;
     bool running = false;
     bool stopped = false;
     /** drain() calls waiting for inflightCount() == 0.  While nonzero
      *  the maintenance planner pauses so its steps cannot keep the
-     *  count nonzero indefinitely, and executing threads ring drainCv
-     *  after each batch. */
+     *  count nonzero indefinitely, and workers ring drainCv after each
+     *  batch. */
     std::atomic<unsigned> drainers_{0};
 
     /** Maintenance steps submitted and not yet executed. */

@@ -15,8 +15,7 @@
  *
  * Wakeups cannot be lost.  Every atomic that takes part in a park/ring
  * decision is accessed seq_cst: the slot sequence a push publishes, the
- * ring's closed flag and the doorbell's parked count (and, in the
- * engine, the port busy flag a writer lane clears).  A waiter raises
+ * ring's closed flag and the doorbell's parked count.  A waiter raises
  * the parked count and then re-checks its predicate; a publisher
  * publishes and then reads the parked count.  In the single total order
  * of seq_cst operations one of the two comes first, so either the

@@ -1,23 +1,22 @@
 /**
  * @file
- * Randomized differential harness for the engine's concurrent-mutation
- * mode (EngineConfig::concurrentMutation): mixed Search/Insert/Erase/
- * Rebuild streams run through a multi-worker engine with the writer
- * lane enabled, against the strictly serial subsystem oracle executing
- * the identical stream in submission order.
+ * Randomized differential harness for mutations on a threaded engine:
+ * mixed Search/Insert/Erase/Rebuild streams run through a multi-worker
+ * engine, where every request executes on its port's owning worker,
+ * against the strictly serial subsystem oracle executing the identical
+ * stream in submission order.
  *
- * The contract under test: hand-off to the writer lane changes *when*
- * a mutation executes relative to other ports' traffic, never what any
- * request computes or the order a port's own responses come back in.
- * So for every port, the engine's FIFO response stream must equal the
- * oracle's port-filtered subsequence field for field (tag, ok, hit,
- * data, key, bucketsAccessed), and the final tables must agree on
- * every key the stream ever touched.  Swept over worker counts x batch
- * widths x key spaces (binary probing and ternary multi-home with row
- * fan-out forced on, so inline shard walks interleave with hand-offs) x
- * writer-lane counts x combining on/off (staged runs drained by a
- * checked-out lane must execute in FIFO position).
- * ci_tsan.sh runs this suite under TSan.
+ * The contract under test: running ports on separate workers changes
+ * *when* a mutation executes relative to other ports' traffic, never
+ * what any request computes or the order a port's own responses come
+ * back in.  So for every port, the engine's FIFO response stream must
+ * equal the oracle's port-filtered subsequence field for field (tag,
+ * ok, hit, data, key, bucketsAccessed), and the final tables must agree
+ * on every key the stream ever touched.  Swept over worker counts (1, 2
+ * and 4) x batch widths (so mutations flush batched search and insert
+ * runs) x key spaces (binary probing and ternary multi-home with row
+ * fan-out forced on, so inline shard walks interleave with mutations
+ * and swap-rebuilds).  ci_tsan.sh runs this suite under TSan.
  */
 
 #include <cstdlib>
@@ -202,14 +201,12 @@ expectSameResponse(const PortResponse &got, const PortResponse &want,
 void
 runDifferential(const Variant &v, unsigned nports, unsigned workers,
                 std::size_t batch_size, unsigned fanout_min,
-                uint64_t seed, unsigned writer_lanes = 0,
-                bool combining = true)
+                uint64_t seed)
 {
     SCOPED_TRACE(::testing::Message()
                  << "variant " << v.name << " workers " << workers
                  << " batch " << batch_size << " fanoutMin "
-                 << fanout_min << " lanes " << writer_lanes
-                 << " combining " << combining << " seed " << seed);
+                 << fanout_min << " seed " << seed);
     auto oracle_sys = buildSubsystem(v, nports, "oracle");
     auto subject_sys = buildSubsystem(v, nports, "subject");
     const std::vector<PortRequest> stream =
@@ -220,10 +217,7 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     EngineConfig cfg;
     cfg.workers = workers;
     cfg.batchSize = batch_size;
-    cfg.concurrentMutation = true;
     cfg.rowFanoutMin = fanout_min;
-    cfg.writerLanes = writer_lanes;
-    cfg.writerCombining = combining;
     // This harness compares bucketsAccessed bit for bit against the
     // serial oracle, which background migration legitimately changes:
     // pin maintenance off (explicit config always beats the
@@ -292,55 +286,55 @@ TEST(ConcurrentMutationDifferential, BinaryFourWorkersBatched)
 TEST(ConcurrentMutationDifferential, TernaryFanoutPlusWriterLane)
 {
     // Row fan-out forced down to 2 homes: inline shard walks, batched
-    // runs and writer-lane hand-offs all interleave in one stream.
+    // runs and owner-executed mutations all interleave in one stream.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xc0ffee05);
 }
 
 TEST(ConcurrentMutationDifferential, MorePortsThanWorkers)
 {
     // Port count far above worker count: each worker owns several
-    // ports, so a busy port's deferrals must interleave with its
-    // siblings' runs on the same thread.
+    // ports, so one port's mutations interleave with its siblings'
+    // search runs on the same thread.
     runDifferential(binaryVariant(), 9, 2, 4, 0, 0xc0ffee06);
 }
 
 // ---------------------------------------------------------------------
-// Writer-lane sharding x combining matrix.  Lanes spread ports across
-// independent writer threads (port % lanes); combining lets owners
-// stage follow-up mutation runs onto a checked-out port and the lane
-// drain whole backlogs as single bulk ingests.  Neither may perturb a
-// single response or the final tables.
+// The legs below once ran mutations on separate writer-lane threads,
+// with and without combining; they keep their names and streams and
+// now run on the owner path at 1, 2 and 4 workers.  A single worker
+// owns every port, so one thread interleaves all ports' mutations.
 
 TEST(ConcurrentMutationDifferential, BinaryTwoLanesBatched)
 {
-    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xc0ffee07, 2, true);
+    runDifferential(binaryVariant(), 6, 2, 8, 0, 0xc0ffee07);
 }
 
 TEST(ConcurrentMutationDifferential, BinaryTwoLanesSerialNoCombining)
 {
-    runDifferential(binaryVariant(), 6, 4, 1, 0, 0xc0ffee08, 2, false);
+    runDifferential(binaryVariant(), 6, 1, 1, 0, 0xc0ffee08);
 }
 
 TEST(ConcurrentMutationDifferential, BinaryFourLanesBatched)
 {
-    runDifferential(binaryVariant(), 9, 4, 8, 0, 0xc0ffee09, 4, true);
+    runDifferential(binaryVariant(), 9, 4, 8, 0, 0xc0ffee09);
 }
 
 TEST(ConcurrentMutationDifferential, BinaryFourLanesNoCombining)
 {
-    runDifferential(binaryVariant(), 9, 4, 8, 0, 0xc0ffee0a, 4, false);
+    runDifferential(binaryVariant(), 9, 1, 8, 0, 0xc0ffee0a);
 }
 
 TEST(ConcurrentMutationDifferential, TernaryFanoutFourLanesCombining)
 {
-    // The full interleaving: inline shard walks, batched runs, four
-    // writer lanes and staged combining in one ternary stream.
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xc0ffee0b, 4, true);
+    // The full interleaving: inline shard walks, batched search and
+    // insert runs and swap-rebuilds on four workers in one ternary
+    // stream.
+    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xc0ffee0b);
 }
 
 TEST(ConcurrentMutationDifferential, TernaryFanoutTwoLanesNoCombining)
 {
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xc0ffee0c, 2, false);
+    runDifferential(ternaryVariant(), 6, 1, 8, 2, 0xc0ffee0c);
 }
 
 } // namespace

@@ -294,16 +294,13 @@ awaitReport(ParallelSearchEngine &eng, Pred predicate,
 void
 runDifferential(const Variant &v, unsigned nports, unsigned workers,
                 std::size_t batch_size, unsigned fanout_min,
-                uint64_t seed, unsigned writer_lanes = 0,
-                bool combining = true,
-                std::size_t cache_entries = 0)
+                uint64_t seed, std::size_t cache_entries = 0)
 {
     SCOPED_TRACE(::testing::Message()
                  << "variant " << v.name << " workers " << workers
                  << " batch " << batch_size << " fanoutMin "
-                 << fanout_min << " lanes " << writer_lanes
-                 << " combining " << combining << " cache "
-                 << cache_entries << " seed " << seed);
+                 << fanout_min << " cache " << cache_entries << " seed "
+                 << seed);
     auto oracle_sys = buildSubsystem(v, nports, "oracle");
     auto subject_sys = buildSubsystem(v, nports, "subject");
     const std::vector<PortRequest> stream =
@@ -325,10 +322,7 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     EngineConfig cfg;
     cfg.workers = workers;
     cfg.batchSize = batch_size;
-    cfg.concurrentMutation = true;
     cfg.rowFanoutMin = fanout_min;
-    cfg.writerLanes = writer_lanes;
-    cfg.writerCombining = combining;
     cfg.maintenance = true;
     if (cache_entries > 0)
         cfg.resultCacheEntries = cache_entries;
@@ -392,22 +386,25 @@ TEST(MaintenanceDifferential, BinaryFourWorkersBatched)
     runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd02);
 }
 
+// The *Lanes* legs once ran steps and mutations on writer-lane
+// threads; they keep their names and streams and now run on the owner
+// path at 1, 2 and 4 workers.
+
 TEST(MaintenanceDifferential, BinaryTwoLanesBatched)
 {
-    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd03, 2, true);
+    runDifferential(binaryVariant(), 6, 2, 8, 0, 0xadd03);
 }
 
 TEST(MaintenanceDifferential, BinaryFourLanesNoCombining)
 {
-    runDifferential(binaryVariant(), 9, 4, 8, 0, 0xadd04, 4, false);
+    runDifferential(binaryVariant(), 9, 1, 8, 0, 0xadd04);
 }
 
 TEST(MaintenanceDifferential, BinaryLanesPlusResultCache)
 {
     // Steps invalidate only the regions they dirty; cached hot keys
     // must still never replay a stale answer.
-    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd05, 2, true,
-                    2048);
+    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd05, 2048);
 }
 
 TEST(MaintenanceDifferential, TernaryFanoutTrimOnly)
@@ -420,7 +417,7 @@ TEST(MaintenanceDifferential, TernaryFanoutTrimOnly)
 
 TEST(MaintenanceDifferential, TernaryFanoutFourLanesCombining)
 {
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xadd07, 4, true);
+    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xadd07);
 }
 
 TEST(MaintenanceDifferential, LpmTwoWorkersBatched)
@@ -430,7 +427,7 @@ TEST(MaintenanceDifferential, LpmTwoWorkersBatched)
 
 TEST(MaintenanceDifferential, LpmTwoLanesResultCache)
 {
-    runDifferential(lpmVariant(), 6, 4, 8, 0, 0xadd09, 2, true, 2048);
+    runDifferential(lpmVariant(), 6, 1, 8, 0, 0xadd09, 2048);
 }
 
 // ---------------------------------------------------------------------

@@ -248,15 +248,12 @@ expectSameResponse(const PortResponse &got, const PortResponse &want,
 void
 runDifferential(const Variant &v, unsigned nports, unsigned workers,
                 std::size_t batch_size, unsigned fanout_min,
-                bool concurrent_mutation, uint64_t seed,
-                unsigned writer_lanes = 0, bool combining = true)
+                uint64_t seed)
 {
     SCOPED_TRACE(::testing::Message()
                  << "variant " << v.name << " workers " << workers
                  << " batch " << batch_size << " fanoutMin "
-                 << fanout_min << " writerLane " << concurrent_mutation
-                 << " lanes " << writer_lanes << " combining "
-                 << combining << " seed " << seed);
+                 << fanout_min << " seed " << seed);
     auto oracle_sys = buildSubsystem(v, nports, "oracle");
     auto subject_sys = buildSubsystem(v, nports, "subject");
     const std::vector<PortRequest> stream =
@@ -268,9 +265,6 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     cfg.workers = workers;
     cfg.batchSize = batch_size;
     cfg.rowFanoutMin = fanout_min;
-    cfg.concurrentMutation = concurrent_mutation;
-    cfg.writerLanes = writer_lanes;
-    cfg.writerCombining = combining;
     cfg.prefilter = true;
     // bucketsAccessed is compared bit for bit against the serial
     // oracle; pin background maintenance off (explicit config beats
@@ -325,57 +319,59 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
 TEST(PrefilterDifferential, BinaryInlineMode)
 {
     // workers == 0: every path runs at submit time on this thread.
-    runDifferential(binaryVariant(), 4, 0, 1, 0, false, 0x9f117e01);
+    runDifferential(binaryVariant(), 4, 0, 1, 0, 0x9f117e01);
 }
 
 TEST(PrefilterDifferential, BinaryFourWorkersBatched)
 {
     // The grouped-probe batch path: whole groups skip shared rows.
-    runDifferential(binaryVariant(), 6, 4, 8, 0, false, 0x9f117e02);
+    runDifferential(binaryVariant(), 6, 4, 8, 0, 0x9f117e02);
 }
+
+// The *WriterLane* and *WriterSections* legs once ran their mutations
+// on writer-lane threads; they keep their names and streams and now
+// run on the owner path at 1, 2 and 4 workers.
 
 TEST(PrefilterDifferential, BinaryWriterLane)
 {
-    // Mutations on the writer lane maintain the filter while other
-    // ports' searches consult it.
-    runDifferential(binaryVariant(), 4, 2, 4, 0, true, 0x9f117e03);
+    // One worker owns every port: each port's mutations maintain the
+    // filter between the other ports' filtered searches.
+    runDifferential(binaryVariant(), 4, 1, 4, 0, 0x9f117e03);
 }
 
 TEST(PrefilterDifferential, TernaryFanoutWriterLane)
 {
     // Fan-out forced down to 2 homes: shard pruning drops whole
     // candidate homes before the shards are walked.
-    runDifferential(ternaryVariant(), 4, 4, 8, 2, true, 0x9f117e04);
+    runDifferential(ternaryVariant(), 4, 4, 8, 2, 0x9f117e04);
 }
 
 TEST(PrefilterDifferential, LpmBatchedWorkers)
 {
-    runDifferential(lpmVariant(), 4, 2, 8, 0, false, 0x9f117e05);
+    runDifferential(lpmVariant(), 4, 2, 8, 0, 0x9f117e05);
 }
 
 TEST(PrefilterDifferential, LpmWriterLane)
 {
-    runDifferential(lpmVariant(), 5, 2, 4, 0, true, 0x9f117e06);
+    runDifferential(lpmVariant(), 5, 2, 4, 0, 0x9f117e06);
 }
 
 TEST(PrefilterDifferential, BinaryCombinedWriterSections)
 {
-    // Writer combining folds a drained insert backlog into one bulk
-    // ingest -- one seqlock writer section per distinct row.  The
+    // Batched insert runs fold consecutive same-port inserts into one
+    // bulk ingest -- one seqlock writer section per distinct row.  The
     // counting filter's per-row increments and decrements inside those
-    // combined sections must leave exactly the same counts as the
-    // serial per-request path, so skip decisions stay one-sided.
-    runDifferential(binaryVariant(), 6, 4, 8, 0, true, 0x9f117e07, 2,
-                    true);
+    // sections must leave exactly the same counts as the serial
+    // per-request path, so skip decisions stay one-sided.
+    runDifferential(binaryVariant(), 6, 1, 8, 0, 0x9f117e07);
 }
 
 TEST(PrefilterDifferential, TernaryFourLanesCombinedWriterSections)
 {
-    // Multi-home duplication under four lanes: combined sections write
-    // several filter rows per record, and lane sharding spreads ports
-    // across writer threads while searches consult the filter.
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, true, 0x9f117e08, 4,
-                    true);
+    // Multi-home duplication on four workers: batched insert sections
+    // write several filter rows per record while other ports' searches
+    // consult the filter.
+    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0x9f117e08);
 }
 
 TEST(PrefilterDifferential, PayloadsMatchUnfilteredOracle)

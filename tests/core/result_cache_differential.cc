@@ -340,7 +340,8 @@ TEST(ResultCacheDifferential, BinaryFourWorkersBatched)
 TEST(ResultCacheDifferential, TernaryFanoutPlusWriterLane)
 {
     // Row fan-out forced down to 2 homes: cached hits must drop out of
-    // batches whose misses route through the shard queue.
+    // batches whose misses route through the shard walk, while the
+    // owners' mutations invalidate between them.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xcac4e004);
 }
 
@@ -356,8 +357,9 @@ TEST(ResultCacheDifferential, LpmMorePortsThanWorkers)
 
 TEST(ResultCacheDifferential, BlockingMutationPath)
 {
-    // The cache composes with the legacy blocking in-run mutation path
-    // too (concurrentMutation defaults on; force it off here).
+    // One worker owns all four ports: every mutation runs in line with
+    // the searches of its own and its sibling ports, and the cache's
+    // post-mutation invalidation must land before any later probe.
     const Variant v = binaryVariant();
     auto oracle_sys = buildSubsystem(v, 4, "oracle");
     auto subject_sys = buildSubsystem(v, 4, "subject");
@@ -365,9 +367,8 @@ TEST(ResultCacheDifferential, BlockingMutationPath)
     const auto want = serialOracle(*oracle_sys, stream);
 
     EngineConfig cfg;
-    cfg.workers = 2;
+    cfg.workers = 1;
     cfg.batchSize = 8;
-    cfg.concurrentMutation = false;
     cfg.resultCacheEntries = 4096;
     cfg.maintenance = false; // oracle-exact bucketsAccessed (see above)
     ParallelSearchEngine eng(*subject_sys, cfg);

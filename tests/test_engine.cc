@@ -830,11 +830,11 @@ TEST(Engine, FanoutInlineMatchesSerial)
 TEST(Engine, FanoutThreadedMatchesSerialWithMutations)
 {
     // Four workers each fanning out their own ports' lookups under
-    // concurrent multi-port traffic with interleaved mutations and
-    // writer-lane hand-offs: the per-port response streams and final
-    // table sizes must stay bit-identical to serial execution (a
-    // fan-out lookup completes before the port's next Insert/Erase).
-    // This is the TSan target for fan-out beside the writer lanes.
+    // concurrent multi-port traffic with interleaved mutations: the
+    // per-port response streams and final table sizes must stay
+    // bit-identical to serial execution (a fan-out lookup completes
+    // before the port's next Insert/Erase).  This is the TSan target
+    // for fan-out beside other workers' mutations.
     const auto stream = wildMutationStream(4, 1200, 77);
     auto serial_sys = buildLoadedTernary(4, 80);
     const auto reference = serialReference(*serial_sys, stream);
@@ -1255,59 +1255,6 @@ TEST(Engine, RowFanoutMinEnvReReadAtEachConstruction)
         unsetenv("CARAM_ROW_FANOUT_MIN");
 }
 
-TEST(Engine, WriterLanesEnvReReadAtEachConstruction)
-{
-    // CARAM_WRITER_LANES must be consulted fresh by every engine
-    // construction, not latched process-wide by the first.
-    const char *old = std::getenv("CARAM_WRITER_LANES");
-    const std::string saved = old ? old : "";
-    const bool had = old != nullptr;
-    auto sys = buildLoaded(1, 10);
-    EngineConfig cfg;
-    cfg.workers = 1; // lanes exist only with threaded concurrentMutation
-    setenv("CARAM_WRITER_LANES", "4", 1);
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 4u);
-    }
-    setenv("CARAM_WRITER_LANES", "2", 1);
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 2u);
-    }
-    unsetenv("CARAM_WRITER_LANES");
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 1u);
-    }
-    // An explicit config value always beats the environment, and the
-    // count clamps to the [1, 16] lane range.
-    setenv("CARAM_WRITER_LANES", "8", 1);
-    {
-        EngineConfig forced = cfg;
-        forced.writerLanes = 3;
-        ParallelSearchEngine eng(*sys, forced);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 3u);
-    }
-    {
-        EngineConfig forced = cfg;
-        forced.writerLanes = 64;
-        ParallelSearchEngine eng(*sys, forced);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 16u);
-    }
-    // Inline mode has no writer lanes at all.
-    {
-        EngineConfig inline_cfg = cfg;
-        inline_cfg.workers = 0;
-        ParallelSearchEngine eng(*sys, inline_cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 0u);
-    }
-    if (had)
-        setenv("CARAM_WRITER_LANES", saved.c_str(), 1);
-    else
-        unsetenv("CARAM_WRITER_LANES");
-}
-
 TEST(Engine, ResultCacheEntriesEnvReReadAtEachConstruction)
 {
     // CARAM_RESULT_CACHE_ENTRIES must be consulted fresh by every
@@ -1359,7 +1306,7 @@ TEST(Engine, GarbageEnvKnobsLeaveConfigInControl)
     // A CARAM_* value that is not a number, or lies outside the knob's
     // range, is ignored (with a one-time warning per variable): the
     // engine resolves exactly as if the variable were unset.
-    const char *names[] = {"CARAM_ROW_FANOUT_MIN", "CARAM_WRITER_LANES",
+    const char *names[] = {"CARAM_ROW_FANOUT_MIN", "CARAM_MAINTENANCE",
                            "CARAM_PREFILTER"};
     std::vector<std::optional<std::string>> saved;
     for (const char *n : names) {
@@ -1369,14 +1316,13 @@ TEST(Engine, GarbageEnvKnobsLeaveConfigInControl)
     auto sys = buildLoaded(1, 10);
     EngineConfig cfg;
     cfg.workers = 1;
-    cfg.maintenance = false;
     setenv("CARAM_ROW_FANOUT_MIN", "4x", 1);
-    setenv("CARAM_WRITER_LANES", "0", 1);
+    setenv("CARAM_MAINTENANCE", "2", 1);
     setenv("CARAM_PREFILTER", "2", 1);
     for (int round = 0; round < 2; ++round) { // second round: no re-warn
         ParallelSearchEngine eng(*sys, cfg);
         EXPECT_EQ(eng.resolvedRowFanoutMin(), 0u);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 1u);
+        EXPECT_FALSE(eng.resolvedMaintenance());
         EXPECT_FALSE(eng.resolvedPrefilter());
     }
     for (std::size_t i = 0; i < saved.size(); ++i) {
@@ -1453,10 +1399,10 @@ TEST(Engine, MaintenanceEnvReReadAtEachConstruction)
 
 TEST(Engine, ConcurrentMutationMixedOperationsMatchSerial)
 {
-    // The writer-lane hand-off must be invisible to results: the same
-    // mixed stream as MixedOperationsMatchSerial, with the non-blocking
-    // mutation mode enabled, still reproduces the serial per-port FIFO
-    // streams and final tables bit for bit.
+    // Owner-executed mutations must be invisible to results: the same
+    // kind of mixed stream as MixedOperationsMatchSerial, on two workers
+    // with batched search and insert runs, still reproduces the serial
+    // per-port FIFO streams and final tables bit for bit.
     std::vector<PortRequest> stream;
     uint64_t tag = 0;
     for (unsigned p = 0; p < 3; ++p) {
@@ -1501,7 +1447,6 @@ TEST(Engine, ConcurrentMutationMixedOperationsMatchSerial)
     EngineConfig cfg;
     cfg.workers = 2;
     cfg.batchSize = 4;
-    cfg.concurrentMutation = true;
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     EXPECT_EQ(eng.submitBatch(stream), stream.size());
@@ -1513,41 +1458,11 @@ TEST(Engine, ConcurrentMutationMixedOperationsMatchSerial)
     eng.stop();
 }
 
-TEST(Engine, ConcurrentMutationIsTheDefault)
-{
-    // PR 6 shipped the writer lane opt-in; it is now the default.  A
-    // default-constructed config selects it, a threaded engine reports
-    // it active, and inline mode (workers == 0, serial already) must
-    // still degrade to the plain path.
-    EXPECT_TRUE(EngineConfig{}.concurrentMutation);
-
-    auto sys = buildLoaded(2, 10);
-    {
-        EngineConfig cfg;
-        cfg.workers = 2;
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_TRUE(eng.concurrentMutationActive());
-    }
-    {
-        EngineConfig cfg;
-        cfg.workers = 0;
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_FALSE(eng.concurrentMutationActive());
-    }
-    {
-        EngineConfig cfg;
-        cfg.workers = 2;
-        cfg.concurrentMutation = false; // blocking path stays selectable
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_FALSE(eng.concurrentMutationActive());
-    }
-}
-
 TEST(Engine, DefaultConfigMixedOperationsMatchSerial)
 {
-    // The same mixed insert/search/erase/rebuild stream as the explicit
-    // writer-lane differential, but through an untouched EngineConfig:
-    // the flipped default must not change any response or table.
+    // A mixed insert/search/erase/rebuild stream through an untouched
+    // EngineConfig (apart from the worker count): the defaults must not
+    // change any response or table.
     Rng rng(31);
     std::vector<PortRequest> stream;
     uint64_t tag = 0;
@@ -1590,7 +1505,8 @@ TEST(Engine, DefaultConfigMixedOperationsMatchSerial)
     EngineConfig cfg;
     cfg.workers = 2; // everything else at its defaults
     ParallelSearchEngine eng(*sys, cfg);
-    ASSERT_TRUE(eng.concurrentMutationActive());
+    EXPECT_FALSE(eng.concurrentMutationActive());
+    EXPECT_EQ(eng.resolvedWriterLanes(), 0u);
     eng.start();
     EXPECT_EQ(eng.submitBatch(stream), stream.size());
     eng.drain();
@@ -1637,9 +1553,9 @@ TEST(Engine, ResultCacheCountersSurfaceInReport)
 TEST(Engine, PeekStableKeysWhileMutationStreamRuns)
 {
     // peek() from threads the engine does not own, racing a live
-    // concurrent-mutation stream that churns inserts, erases and
-    // swap-rebuilds on the same rows: stable keys must always resolve
-    // to their exact record.  ci_tsan.sh runs this against the seqlock
+    // mutation stream that churns inserts, erases and swap-rebuilds on
+    // the same rows: stable keys must always resolve to their exact
+    // record.  ci_tsan.sh runs this against the seqlock
     // and epoch machinery end to end.
     constexpr unsigned kPorts = 2;
     constexpr uint64_t kStable = 24;
@@ -1684,7 +1600,6 @@ TEST(Engine, PeekStableKeysWhileMutationStreamRuns)
     EngineConfig cfg;
     cfg.workers = 2;
     cfg.batchSize = 4;
-    cfg.concurrentMutation = true;
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
 
@@ -1854,12 +1769,11 @@ TEST(Engine, PreQueuedBatchedRunsAreDeterministic)
 
 TEST(Engine, LostWakeupStress)
 {
-    // Two producers feed disjoint port pairs of a 2-worker, 2-lane
-    // engine with mixed searches, inserts, erases and rebuilds, in
-    // bursts separated by idle gaps longer than the doorbell's spin
-    // window: between bursts every worker and writer lane parks, so
-    // each burst must wake them through the parked path (a lost wakeup
-    // stalls the burst).  The result streams must match the serial
+    // Two producers feed disjoint port pairs of a 2-worker engine with
+    // mixed searches, inserts, erases and rebuilds, in bursts separated
+    // by idle gaps longer than the doorbell's spin window: between
+    // bursts every worker parks, so each burst must wake them through
+    // the parked path (a lost wakeup stalls the burst).  The result streams must match the serial
     // oracle.
     constexpr unsigned kPorts = 4;
     constexpr std::size_t kOpsPerProducer = 1200;
@@ -1907,12 +1821,9 @@ TEST(Engine, LostWakeupStress)
     auto sys = buildLoaded(kPorts, 30);
     EngineConfig cfg;
     cfg.workers = 2;
-    cfg.writerLanes = 2;
-    cfg.concurrentMutation = true;
     cfg.batchSize = 4;
     cfg.maintenance = false; // migrations would change bucketsAccessed
     ParallelSearchEngine eng(*sys, cfg);
-    ASSERT_EQ(eng.resolvedWriterLanes(), 2u);
     eng.start();
     const auto produce = [&](unsigned prod) {
         const std::vector<PortRequest> &mine = streams[prod];
@@ -1960,6 +1871,220 @@ TEST(Engine, LostWakeupStress)
     for (unsigned p = 0; p < kPorts; ++p)
         EXPECT_EQ(sys->database(p).size(), serial_sys->database(p).size());
     eng.stop();
+}
+
+TEST(Engine, PeekReadersRaceRebuildsOnThreadedEngine)
+{
+    // A threaded engine runs every Rebuild on the port's owning worker
+    // as a rebuildSwap under its epoch domain: a rebuild installs a
+    // fresh slice object instead of repacking the one a reader may be
+    // walking, and peek() readers racing a stream of back-to-back
+    // rebuilds must always find the stable keys.  Inline engines (no
+    // other thread to protect) keep repacking in place.
+    constexpr unsigned kPorts = 2;
+    constexpr uint64_t kStable = 48;
+    auto sys = buildLoaded(kPorts, 120);
+    for (unsigned p = 0; p < kPorts; ++p) {
+        for (uint64_t i = 0; i < kStable; ++i) {
+            ASSERT_TRUE(sys->database(p).insert(
+                Record{Key::fromUint(0x200 + i, 32), 0x0b00 + i}));
+        }
+    }
+    uint64_t tag = 0;
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.maintenance = false; // only the rebuilds touch the tables
+    ParallelSearchEngine eng(*sys, cfg);
+    eng.start();
+    // One rebuild per port first: the swap allocates the new slice
+    // while the old one is still live, so the two addresses differ.
+    for (unsigned p = 0; p < kPorts; ++p) {
+        const core::CaRamSlice *before = &sys->database(p).slice();
+        ASSERT_TRUE(eng.submitRebuild(p, ++tag));
+        eng.drain();
+        const auto r = eng.fetchResult(p);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_TRUE(r->ok);
+        EXPECT_NE(&sys->database(p).slice(), before)
+            << "port " << p << ": threaded rebuild repacked in place";
+    }
+
+    std::vector<PortRequest> stream;
+    for (int i = 0; i < 150; ++i) {
+        for (unsigned p = 0; p < kPorts; ++p) {
+            PortRequest r;
+            r.port = p;
+            r.op = PortOp::Rebuild;
+            r.tag = ++tag;
+            stream.push_back(r);
+        }
+    }
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> reads{0};
+    std::atomic<uint64_t> failures{0};
+    std::vector<std::thread> readers;
+    for (unsigned t = 0; t < 2; ++t) {
+        readers.emplace_back([&, t] {
+            Rng rng(0x5a5a + t);
+            uint64_t i = 0;
+            while ((!done.load(std::memory_order_acquire) ||
+                    reads.load(std::memory_order_relaxed) < 1000) &&
+                   failures.load(std::memory_order_relaxed) == 0 &&
+                   i < 4000000) {
+                ++i;
+                const uint64_t k = rng.below(kStable);
+                const auto port = static_cast<unsigned>(rng.below(kPorts));
+                const auto r =
+                    eng.peek(port, Key::fromUint(0x200 + k, 32));
+                if (!r.hit || r.data != 0x0b00 + k)
+                    failures.fetch_add(1, std::memory_order_relaxed);
+                reads.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    EXPECT_EQ(eng.submitBatch(stream), stream.size());
+    eng.drain();
+    done.store(true, std::memory_order_release);
+    for (auto &r : readers)
+        r.join();
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_GE(reads.load(), 1000u);
+    for (unsigned p = 0; p < kPorts; ++p) {
+        std::size_t n = 0;
+        while (auto r = eng.fetchResult(p)) {
+            EXPECT_TRUE(r->ok) << "port " << p << " rebuild " << n;
+            ++n;
+        }
+        EXPECT_EQ(n, stream.size() / kPorts);
+        EXPECT_EQ(sys->database(p).size(), 120 + kStable);
+    }
+    eng.stop();
+
+    EngineConfig inline_cfg;
+    inline_cfg.workers = 0;
+    ParallelSearchEngine inl(*sys, inline_cfg);
+    const core::CaRamSlice *live = &sys->database(0).slice();
+    ASSERT_TRUE(inl.submitRebuild(0, ++tag));
+    ASSERT_TRUE(inl.fetchResult(0).has_value());
+    EXPECT_EQ(&sys->database(0).slice(), live);
+}
+
+TEST(Engine, PeekUnknownPortIsAMiss)
+{
+    // peek() at a port the subsystem does not have is a caller error:
+    // it answers a miss instead of aborting, on inline and threaded
+    // engines alike, and the known ports keep answering.
+    for (unsigned workers : {0u, 2u}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        auto sys = buildLoaded(2, 0);
+        ASSERT_TRUE(
+            sys->database(1).insert(Record{Key::fromUint(42, 32), 7}));
+        EngineConfig cfg;
+        cfg.workers = workers;
+        ParallelSearchEngine eng(*sys, cfg);
+        eng.start();
+        const core::SearchResult miss = eng.peek(2, Key::fromUint(42, 32));
+        EXPECT_FALSE(miss.hit);
+        EXPECT_EQ(miss.data, 0u);
+        EXPECT_EQ(miss.bucketsAccessed, 0u);
+        EXPECT_FALSE(eng.peek(99, Key::fromUint(42, 32)).hit);
+        const core::SearchResult hit = eng.peek(1, Key::fromUint(42, 32));
+        EXPECT_TRUE(hit.hit);
+        EXPECT_EQ(hit.data, 7u);
+        eng.stop();
+    }
+}
+
+TEST(Engine, MixedStreamModeledCountsRepeatExactly)
+{
+    // The same 90/10 search/mutation stream, submitted live to a
+    // 2-worker engine twice: every modeled count in the report must
+    // repeat exactly.  Each port's requests all run on its owning
+    // worker, so thread timing can change when a request runs but
+    // never what it is charged or to which controller.
+    constexpr unsigned kPorts = 4;
+    std::vector<PortRequest> stream;
+    Rng rng(2024);
+    std::array<std::vector<uint64_t>, kPorts> pool;
+    std::array<std::size_t, kPorts> next_erase{};
+    uint64_t tag = 0;
+    for (std::size_t i = 0; i < 1500; ++i) {
+        for (unsigned p = 0; p < kPorts; ++p) {
+            PortRequest req;
+            req.port = p;
+            req.tag = ++tag;
+            if (i % 10 == 9) {
+                if (pool[p].size() - next_erase[p] >= 32) {
+                    req.op = PortOp::Erase;
+                    req.key = Key::fromUint(pool[p][next_erase[p]++], 32);
+                } else {
+                    const uint64_t v = rng.next64() & 0xffffffffu;
+                    req.op = PortOp::Insert;
+                    req.key = Key::fromUint(v, 32);
+                    req.data = i & 0xffff;
+                    pool[p].push_back(v);
+                }
+            } else {
+                req.op = PortOp::Search;
+                req.key = Key::fromUint(rng.next64() & 0xffffffffu, 32);
+            }
+            stream.push_back(std::move(req));
+        }
+    }
+    auto run = [&] {
+        auto sys = buildLoaded(kPorts, 100);
+        EngineConfig cfg;
+        cfg.workers = 2;
+        // The planner's steps interleave with the stream by timing, so
+        // pin it off (explicit config beats the CARAM_MAINTENANCE leg).
+        cfg.maintenance = false;
+        ParallelSearchEngine eng(*sys, cfg);
+        eng.start();
+        // Live submission in uneven chunks, so the workers' pops land
+        // on different boundaries from run to run.
+        for (std::size_t next = 0; next < stream.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                1 + rng.below(40), stream.size() - next);
+            EXPECT_EQ(eng.submitBatch(std::span<const PortRequest>(
+                          stream.data() + next, n)),
+                      n);
+            next += n;
+        }
+        eng.drain();
+        EngineReport r = eng.report();
+        std::vector<uint64_t> port_cycles;
+        for (unsigned p = 0; p < kPorts; ++p)
+            port_cycles.push_back(eng.portStats(p).modeledCycles.load());
+        eng.stop();
+        return std::pair<EngineReport, std::vector<uint64_t>>(
+            r, port_cycles);
+    };
+    const auto [a, a_ports] = run();
+    const auto [b, b_ports] = run();
+    EXPECT_EQ(a.completed, stream.size());
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.modeledMsps, b.modeledMsps);
+    EXPECT_EQ(a.modeledSerialMsps, b.modeledSerialMsps);
+    EXPECT_EQ(a.modeledSpeedup, b.modeledSpeedup);
+    EXPECT_EQ(a.analyticBoundMsps, b.analyticBoundMsps);
+    EXPECT_EQ(a.batchedSearchRuns, b.batchedSearchRuns);
+    EXPECT_EQ(a.batchedInsertRuns, b.batchedInsertRuns);
+    EXPECT_EQ(a.ingest.rowFetches, b.ingest.rowFetches);
+    EXPECT_EQ(a.ingest.serialRowFetches, b.ingest.serialRowFetches);
+    // perfbench reads this count; a staging count that followed thread
+    // timing would differ between the two runs.
+    EXPECT_EQ(a.stagedMutationRuns, b.stagedMutationRuns);
+    EXPECT_EQ(a.writerRowFetches, b.writerRowFetches);
+    EXPECT_EQ(a.rowsCombined, b.rowsCombined);
+    EXPECT_EQ(a.fanoutLookups, b.fanoutLookups);
+    EXPECT_EQ(a.fanoutShards, b.fanoutShards);
+    EXPECT_EQ(a.cacheHits, b.cacheHits);
+    EXPECT_EQ(a.cacheMisses, b.cacheMisses);
+    EXPECT_EQ(a.cacheInvalidations, b.cacheInvalidations);
+    EXPECT_EQ(a.prefilterProbes, b.prefilterProbes);
+    EXPECT_EQ(a.prefilterSkips, b.prefilterSkips);
+    EXPECT_EQ(a.maintenanceSteps, b.maintenanceSteps);
+    EXPECT_EQ(a_ports, b_ports);
 }
 
 TEST(Engine, BulkLoadRejectsUnknownPortAndRunningEngine)
@@ -2029,11 +2154,10 @@ TEST(ResultStream, BacklogOf100kSurvivesDrain)
     eng.stop();
 }
 
-TEST(ResultStream, TwoConsumersSeeOwnerAndLaneResponsesInOrder)
+TEST(ResultStream, TwoConsumersSeeOwnerResponsesInOrder)
 {
-    // One port whose responses alternate between its two producers:
-    // searches run on the owning worker, inserts and erases on the
-    // writer lane.  Two consumer threads fetch while the stream is
+    // One port whose searches, inserts and erases all run on its
+    // owning worker.  Two consumer threads fetch while the stream is
     // still being submitted.  Every tag must arrive exactly once, each
     // consumer must see its share in submission order, and the merged
     // stream must match the serial oracle.
@@ -2071,11 +2195,8 @@ TEST(ResultStream, TwoConsumersSeeOwnerAndLaneResponsesInOrder)
     auto sys = buildLoaded(1, 40);
     EngineConfig cfg;
     cfg.workers = 1;
-    cfg.concurrentMutation = true;
-    cfg.writerLanes = 1;
     cfg.maintenance = false; // migrations would change bucketsAccessed
     ParallelSearchEngine eng(*sys, cfg);
-    ASSERT_TRUE(eng.concurrentMutationActive());
     eng.start();
     std::atomic<std::size_t> fetched{0};
     std::array<std::vector<PortResponse>, 2> got;
